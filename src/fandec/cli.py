@@ -41,6 +41,9 @@ from .squarezero import (
 from . import selftest as selftest_mod
 
 
+_ERROR_PREFIXES = {1: "domain error", 2: "parse error", 3: "budget exceeded"}
+
+
 def _emit_json(payload: object) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -336,15 +339,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 1
+    except (ParseError, BudgetError, DomainError) as exc:
+        print(f"{_ERROR_PREFIXES[exc.exit_status]}: {exc}", file=sys.stderr)
+        return exc.exit_status
 
 
 def main() -> None:

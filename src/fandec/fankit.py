@@ -561,7 +561,8 @@ def factorize(fan: Fan) -> FactorizationResult:
             chosen = blocks
             block_fans = fans
             break
-    assert chosen is not None and block_fans is not None
+    if chosen is None or block_fans is None:
+        raise AssertionError
 
     blocks_out = []
     columns: list[LatticeVector] = []

@@ -2,31 +2,35 @@
 
 The invariant bundle of a product over the recognized alphabet (CP^1,
 PQ(p, q), Diag(r) with r >= 2, S^4) consists of the real census, the mod-2
-square-zero counts restricted to the line class and to each diagonal
-sphere class, the Poincare polynomial, and the complex dimension.  These
-determine the multiset:
+square-zero counts of the census classes that two kinds share, the
+Poincare polynomial, and the complex dimension.  These determine the
+multiset by one rule per census class:
 
-* off-diagonal census classes read off PQ(p, q) with p > q >= 1 directly
-  (the (0, s) classes come in pairs, two per PQ(s+1, 1) factor);
-* the line class gives a 2x2 integer system for the CP^1 and PQ(1, 1)
-  counts (census 2m + 4m11, mod-2 count m + m11, determinant -2);
-* each diagonal class (s, s) gives a 2x2 system separating PQ(p, p) from
-  Diag(p), p = s+1: census m + n, mod-2 count (2^(2p-1)-1) m +
-  (2^(2p-1)+2^(p-1)-1) n, determinant 2^(p-1);
+* each class names the kinds whose census contains it: the line class
+  CP^1 and PQ(1, 1), a diagonal class (s, s) PQ(s+1, s+1) and Diag(s+1),
+  an off-diagonal class (a, s) only PQ(s+1, a+1);
+* the class's census count, and for two kinds its mod-2 count, form a
+  linear system in those kinds' counts, solved by Cramer's rule with the
+  per-kind census counts and mod-2 closed forms taken from squarezero.
+  Worked cases: the line class gives census 2m + 4m11 and mod-2 m + m11
+  (determinant -2); a diagonal class, p = s+1, gives census m + n and
+  mod-2 (2^(2p-1)-1) m + (2^(2p-1)+2^(p-1)-1) n (determinant 2^(p-1));
+  a class (0, s) has census 2m, so its count must be even;
 * dividing the recovered factors out of the Poincare polynomial leaves
-  (1+x^2)^n * prod (1+px+x^2)^(m_p0), disentangled by greedy exact
-  division with a mandatory final-quotient-one check.
+  (1+x^2)^n * prod (1+px+x^2)^(m_p0), the kinds with an empty census,
+  disentangled by greedy exact division with a mandatory
+  final-quotient-one check.
 
-Any non-integral or negative solution, failed division, or leftover
-quotient raises InconsistentBundleError: the bundle cannot come from the
-alphabet.
+A mod-2 count on a class no two kinds share, any non-integral or
+negative solution, failed division, or leftover quotient raises
+InconsistentBundleError: the bundle cannot come from the alphabet.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
 
 from .errors import DomainError, InconsistentBundleError
 from .polys import Poly, degree, normalize as poly_normalize, poly_div_exact
@@ -44,6 +48,8 @@ from .squarezero import (
     component_label,
     component_sort_key,
     factor_census,
+    factor_poincare,
+    kind_sort_key,
     poincare,
     real_census,
 )
@@ -163,54 +169,89 @@ def realize(v: MultiplicityVector) -> ProductManifold:
     return ProductManifold(factors)
 
 
+def _vector_of(counts: dict[FactorKind, int]) -> MultiplicityVector:
+    m_pq = {(k.p, k.q): c for k, c in counts.items() if isinstance(k, PQ)}
+    n_r = {k.r: c for k, c in counts.items() if isinstance(k, Diag)}
+    return MultiplicityVector(
+        m=counts.get(ProjLine(), 0), m_pq=m_pq, n_r=n_r, n=counts.get(FourSphere(), 0)
+    )
+
+
 def multiplicities_of(pm: ProductManifold) -> MultiplicityVector:
     """Multiplicity vector of an alphabet product (inverse of realize)."""
     _ensure_alphabet(pm)
-    m = 0
-    n = 0
-    m_pq: dict[tuple[int, int], int] = {}
-    n_r: dict[int, int] = {}
-    for f in pm.factors:
-        if isinstance(f, ProjLine):
-            m += 1
-        elif isinstance(f, PQ):
-            m_pq[(f.p, f.q)] = m_pq.get((f.p, f.q), 0) + 1
-        elif isinstance(f, Diag):
-            n_r[f.r] = n_r.get(f.r, 0) + 1
-        else:
-            n += 1
-    return MultiplicityVector(m=m, m_pq=m_pq, n_r=n_r, n=n)
+    return _vector_of(pm.counts())
+
+
+@lru_cache(maxsize=256)
+def _kinds_of_class(c: Component) -> tuple[FactorKind, ...]:
+    """The alphabet kinds whose census contains the class c (none for a non-class)."""
+    if c == LINE:
+        return (ProjLine(), PQ(1, 1))
+    if not (isinstance(c, tuple) and len(c) == 2 and all(isinstance(x, int) for x in c)):
+        return ()
+    a, s = c
+    if 1 <= a == s:
+        return (PQ(s + 1, s + 1), Diag(s + 1))
+    if 0 <= a < s:
+        return (PQ(s + 1, a + 1),)
+    return ()
+
+
+@lru_cache(maxsize=256)
+def _class_rows(c: Component) -> tuple[tuple[FactorKind, ...], tuple[int, ...], tuple[int, ...]]:
+    """The kinds of class c, their census counts of c, and their mod-2 closed forms."""
+    kinds = _kinds_of_class(c)
+    return (
+        kinds,
+        tuple(factor_census(k).count(c) for k in kinds),
+        tuple(closed_count_mod2(k) for k in kinds),
+    )
+
+
+def _solve_class(c: Component, cen: int, mod: int) -> dict[FactorKind, int]:
+    """Factor counts of the kinds of class c, by Cramer's rule.
+
+    A class of one kind solves census = a x.  A class of two kinds adds the
+    mod-2 row: census = a1 x1 + a2 x2, mod-2 = b1 x1 + b2 x2.
+    """
+    kinds, a, b = _class_rows(c)
+    if len(kinds) == 1:
+        det, nums = a[0], (cen,)
+    else:
+        det = a[0] * b[1] - a[1] * b[0]
+        nums = (cen * b[1] - a[1] * mod, a[0] * mod - b[0] * cen)
+    if any(x % det or x // det < 0 for x in nums):
+        raise InconsistentBundleError(
+            f"class {component_label(c)} counts (census {cen}, mod-2 {mod}) "
+            f"admit no nonnegative integral solution"
+        )
+    return {k: x // det for k, x in zip(kinds, nums) if x}
 
 
 def bundle(pm: ProductManifold) -> InvariantBundle:
     """Invariant bundle of an alphabet product."""
     _ensure_alphabet(pm)
-    census = real_census(pm)
     mod2: dict[Component, int] = {}
-    for f in pm.factors:
-        classes = set(factor_census(f))
-        if LINE in classes:
-            key: Component = LINE
-        else:
-            diagonal = [c for c in classes if c != LINE and c[0] == c[1]]
-            if not diagonal:
-                continue
-            key = diagonal[0]
-        mod2[key] = mod2.get(key, 0) + closed_count_mod2(f)
+    for kind, count in pm.counts().items():
+        for c in set(factor_census(kind)):
+            if len(_kinds_of_class(c)) == 2:
+                mod2[c] = mod2.get(c, 0) + count * closed_count_mod2(kind)
     return InvariantBundle(
-        census=census,
+        census=real_census(pm),
         class_mod2_counts=mod2,
         poincare_poly=poincare(pm),
         complex_dim=pm.complex_dim,
     )
 
 
-def _exact_divide(quotient: Poly, divisor: Poly, times: int, what: str) -> Poly:
+def _exact_divide(quotient: Poly, kind: FactorKind, times: int) -> Poly:
+    divisor = factor_poincare(kind)
     for _ in range(times):
         nxt = poly_div_exact(quotient, divisor)
         if nxt is None:
             raise InconsistentBundleError(
-                f"poincare polynomial is not divisible by the recovered {what} contribution"
+                f"poincare polynomial is not divisible by the recovered {kind} contribution"
             )
         quotient = nxt
     return quotient
@@ -247,94 +288,29 @@ def recover_poincare_tail(poly: Poly) -> tuple[int, dict[int, int]]:
 
 def recover(b: InvariantBundle) -> MultiplicityVector:
     """Solve the bundle for the unique alphabet multiplicities."""
-    census = dict(b.census.components)
-    mod2 = dict(b.class_mod2_counts)
-    m_pq: dict[tuple[int, int], int] = {}
-    n_r: dict[int, int] = {}
-
-    for key in mod2:
-        if key != LINE and (key[0] != key[1] or key[0] < 1):
+    census = b.census.components
+    mod2 = b.class_mod2_counts
+    for c in mod2:
+        if len(_kinds_of_class(c)) != 2:
             raise InconsistentBundleError(
-                f"mod-2 count attached to non-diagonal class {component_label(key)}"
+                f"mod-2 count attached to {c!r}, which is not a class two kinds share"
             )
-
-    for comp, count in sorted(
-        ((c, n) for c, n in census.items() if c != LINE), key=lambda kv: component_sort_key(kv[0])
-    ):
-        a, s = comp
-        if a == s:
-            continue
-        if a == 0:
-            # each PQ(s+1, 1) factor contributes two such components
-            if count % 2:
-                raise InconsistentBundleError(
-                    f"census class {component_label(comp)} count {count} must be even"
-                )
-            m_pq[(s + 1, 1)] = count // 2
-        else:
-            m_pq[(s + 1, a + 1)] = count
-
-    # line class: census 2m + 4*m11, mod-2 m + m11
-    cen_line = census.get(LINE, 0)
-    mod_line = mod2.pop(LINE, 0)
-    twice_m11 = cen_line - 2 * mod_line
-    if twice_m11 < 0 or twice_m11 % 2:
-        raise InconsistentBundleError(
-            f"line class counts (census {cen_line}, mod-2 {mod_line}) admit no solution"
-        )
-    m11 = twice_m11 // 2
-    m = mod_line - m11
-    if m < 0:
-        raise InconsistentBundleError(
-            f"line class counts (census {cen_line}, mod-2 {mod_line}) give a negative CP1 count"
-        )
-    if m11:
-        m_pq[(1, 1)] = m11
-
-    diagonal_classes = sorted(
-        {c for c in census if c != LINE and c[0] == c[1]} | set(mod2),
-        key=component_sort_key,
-    )
-    for comp in diagonal_classes:
-        s = comp[0]
-        p = s + 1
-        cen = census.get(comp, 0)
-        mod = mod2.pop(comp, 0)
-        base = 2 ** (2 * p - 1) - 1
-        step = 2 ** (p - 1)
-        numerator = mod - base * cen
-        if numerator < 0 or numerator % step:
-            raise InconsistentBundleError(
-                f"diagonal class {component_label(comp)} counts (census {cen}, mod-2 {mod}) "
-                f"admit no integral solution"
-            )
-        n_p = numerator // step
-        mpp = cen - n_p
-        if mpp < 0:
-            raise InconsistentBundleError(
-                f"diagonal class {component_label(comp)} counts give a negative PQ({p},{p}) count"
-            )
-        if mpp:
-            m_pq[(p, p)] = mpp
-        if n_p:
-            n_r[p] = n_p
+    counts: dict[FactorKind, int] = {}
+    for c in sorted(set(census) | set(mod2), key=component_sort_key):
+        counts.update(_solve_class(c, census.get(c, 0), mod2.get(c, 0)))
 
     if degree(b.poincare_poly) != b.complex_dim:
         raise InconsistentBundleError(
             f"poincare degree {degree(b.poincare_poly)} does not match "
             f"complex dimension {b.complex_dim}"
         )
-
     quotient = poly_normalize(b.poincare_poly)
-    quotient = _exact_divide(quotient, (1, 1), m, "CP1")
-    for (p, q), count in sorted(m_pq.items()):
-        quotient = _exact_divide(quotient, (1, p + q, 1), count, f"PQ({p},{q})")
-    for r, count in sorted(n_r.items()):
-        quotient = _exact_divide(quotient, (1, 2 * r, 1), count, f"DIAG({r})")
+    for kind in sorted(counts, key=kind_sort_key):
+        quotient = _exact_divide(quotient, kind, counts[kind])
     n, m_p0 = recover_poincare_tail(quotient)
-    for p, count in m_p0.items():
-        m_pq[(p, 0)] = count
-    return MultiplicityVector(m=m, m_pq=m_pq, n_r=n_r, n=n)
+    counts.update({PQ(p, 0): c for p, c in m_p0.items()})
+    counts[FourSphere()] = n
+    return _vector_of(counts)
 
 
 def same_decomposition(a: ProductManifold, b: ProductManifold) -> bool:
@@ -353,5 +329,6 @@ def cancellation_check(a: ProductManifold, b: ProductManifold, c: ProductManifol
     result = same_decomposition(a, b)
     with_c = bundle(a * c) == bundle(b * c)
     without_c = bundle(a) == bundle(b)
-    assert with_c == without_c, "cancellation law violated on this instance"
+    if with_c != without_c:
+        raise AssertionError("cancellation law violated on this instance")
     return result

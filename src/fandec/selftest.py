@@ -28,7 +28,14 @@ from .fankit import (
 )
 from .lattice import is_unimodular, random_unimodular, unimodular_inverse
 from .polys import Poly, poly_mul, poly_pow
-from .recovery import MultiplicityVector, bundle, realize, recover, recover_poincare_tail
+from .recovery import (
+    MultiplicityVector,
+    bundle,
+    multiplicities_of,
+    realize,
+    recover,
+    recover_poincare_tail,
+)
 from .squarezero import (
     LINE,
     Component,
@@ -298,17 +305,7 @@ def _all_low_dim_vectors(max_dim: int = 6, bound: int = 5) -> list[MultiplicityV
         for combo in itertools.combinations_with_replacement(kinds, size):
             for m in range(0, max_dim - 2 * size + 1):
                 pm = ProductManifold([ProjLine()] * m + list(combo))
-                m_pq: dict[tuple[int, int], int] = {}
-                n_r: dict[int, int] = {}
-                n = 0
-                for f in combo:
-                    if isinstance(f, PQ):
-                        m_pq[(f.p, f.q)] = m_pq.get((f.p, f.q), 0) + 1
-                    elif isinstance(f, Diag):
-                        n_r[f.r] = n_r.get(f.r, 0) + 1
-                    else:
-                        n += 1
-                out.append(MultiplicityVector(m=m, m_pq=m_pq, n_r=n_r, n=n))
+                out.append(multiplicities_of(pm))
                 assert pm.complex_dim <= max_dim
     return out
 

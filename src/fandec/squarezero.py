@@ -63,10 +63,11 @@ class PQ:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
-            raise DomainError(f"PQ parameters must be integers, got ({self.p!r}, {self.q!r})")
-        if not (self.p >= self.q >= 0 and self.p + self.q >= 1):
-            raise DomainError(f"PQ requires p >= q >= 0 and p+q >= 1, got PQ({self.p},{self.q})")
+        p, q = self.p, self.q
+        if not (isinstance(p, int) and isinstance(q, int)) or bool in (type(p), type(q)):
+            raise DomainError(f"PQ parameters must be integers, got ({p!r}, {q!r})")
+        if not (p >= q >= 0 and p + q >= 1):
+            raise DomainError(f"PQ requires p >= q >= 0 and p+q >= 1, got PQ({p},{q})")
 
     @property
     def complex_dim(self) -> int:
@@ -83,7 +84,7 @@ class Diag:
     r: int
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 1:
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
             raise DomainError(f"Diag requires an integer r >= 1, got {self.r!r}")
 
     @property
@@ -459,20 +460,19 @@ def factor_census(kind: FactorKind) -> list[Component]:
         return [LINE, LINE]
     if isinstance(kind, PQ):
         p, q = kind.p, kind.q
-        if q == 0:
-            return []
-        if p == 1 and q == 1:
-            return [LINE] * 4
-        if q == 1:
-            return [(0, p - 1)] * 2
-        return [(q - 1, p - 1)]
-    if isinstance(kind, Diag):
-        if kind.r == 1:
-            return [LINE] * 4
-        return [(kind.r - 1, kind.r - 1)]
-    if isinstance(kind, FourSphere):
+    elif isinstance(kind, Diag):
+        p = q = kind.r  # DIAG(r) has the real form of PQ(r, r)
+    elif isinstance(kind, FourSphere):
         return []
-    raise DomainError(f"not a factor kind: {kind!r}")
+    else:
+        raise DomainError(f"not a factor kind: {kind!r}")
+    if q == 0:
+        return []
+    if p == 1 and q == 1:
+        return [LINE] * 4
+    if q == 1:
+        return [(0, p - 1)] * 2
+    return [(q - 1, p - 1)]
 
 
 def real_census(pm: ProductManifold) -> RealCensus:
@@ -540,6 +540,7 @@ def normalize(p: int, q: int, r: int) -> FactorKind:
 
 # --- product-descriptor grammar ---------------------------------------------
 
+_FACTOR_NAMES = {"CP1": (ProjLine, 0), "PQ": (PQ, 2), "DIAG": (Diag, 1), "S4": (FourSphere, 0)}
 _TOKEN_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)|(?P<sym>[*^(),])")
 
 
@@ -598,24 +599,16 @@ def parse_product(text: str) -> ProductManifold:
                 f"column {col}: expected a factor name (CP1, PQ, DIAG, S4), got {value!r}"
             )
         idx += 1
-        if value == "CP1":
-            factor: FactorKind = ProjLine()
-        elif value == "S4":
-            factor = FourSphere()
-        elif value == "PQ":
-            take("sym", "(")
-            p = parse_int()
-            take("sym", ",")
-            q = parse_int()
-            take("sym", ")")
-            factor = PQ(p, q)
-        elif value == "DIAG":
-            take("sym", "(")
-            r = parse_int()
-            take("sym", ")")
-            factor = Diag(r)
-        else:
+        if value not in _FACTOR_NAMES:
             raise ParseError(f"column {col}: unknown factor name {value!r}")
+        make, arity = _FACTOR_NAMES[value]
+        params = []
+        for i in range(arity):
+            take("sym", "," if i else "(")
+            params.append(parse_int())
+        if arity:
+            take("sym", ")")
+        factor = make(*params)
         mult = 1
         if peek()[:2] == ("sym", "^"):
             idx += 1

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from fandec.polys import poly_mul, poly_pow
 from fandec.recovery import (
     InvariantBundle,
     MultiplicityVector,
+    _kinds_of_class,
     bundle,
     cancellation_check,
     multiplicities_of,
@@ -18,7 +22,18 @@ from fandec.recovery import (
     recover_poincare_tail,
     same_decomposition,
 )
-from fandec.squarezero import LINE, Diag, FourSphere, PQ, ProductManifold, ProjLine, normalize
+from fandec.squarezero import (
+    LINE,
+    Diag,
+    FourSphere,
+    PQ,
+    ProductManifold,
+    ProjLine,
+    factor_census,
+    normalize,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_multiplicity_vector_normalizes():
@@ -86,6 +101,20 @@ def test_recovery_system_determinants():
         base = 2 ** (2 * p - 1) - 1
         diag_system = IntegerMatrix.from_rows([[1, 1], [base, base + 2 ** (p - 1)]])
         assert determinant(diag_system) == 2 ** (p - 1)
+
+
+def test_kinds_of_class_is_the_census_relation():
+    kinds = [ProjLine(), FourSphere()]
+    kinds += [PQ(p, q) for p in range(1, 7) for q in range(p + 1)]
+    kinds += [Diag(r) for r in range(2, 7)]
+    for k in kinds:
+        for c in factor_census(k):
+            assert k in _kinds_of_class(c)
+    for c in {c for k in kinds for c in factor_census(k)}:
+        for k in _kinds_of_class(c):
+            assert c in factor_census(k)
+    for key in [(0, 0), (2, 1), (-1, 1), (1, 2, 3), "S1xR"]:
+        assert _kinds_of_class(key) == ()
 
 
 def test_recover_roundtrip_random():
@@ -181,10 +210,10 @@ def test_recover_rejects_inconsistent_bundles():
     with pytest.raises(InconsistentBundleError):
         recover(bad)
 
-    # mod-2 count attached to an off-diagonal class
-    bad = _tampered(b, class_mod2_counts={(1, 2): 1})
-    with pytest.raises(InconsistentBundleError):
-        recover(bad)
+    # mod-2 counts belong only to classes that two kinds share
+    for key in [(1, 2), (0, 3), (0, 0), "S1xR"]:
+        with pytest.raises(InconsistentBundleError):
+            recover(_tampered(b, class_mod2_counts={key: 1}))
 
     # diagonal system with a non-integral solution
     b2 = bundle(ProductManifold([PQ(2, 2)]))
@@ -239,6 +268,27 @@ def test_cancellation_check():
     # the distinguishing class: 7 vs 9 in the (1,1) mod-2 slot
     assert bundle(a * c).class_mod2_counts[(1, 1)] == 7
     assert bundle(b * c).class_mod2_counts[(1, 1)] == 9
+
+
+def test_cancellation_law_is_checked_under_python_O():
+    # bundle is patched so that the products' bundles differ while the
+    # factors' bundles agree; the check must survive -O, which strips asserts
+    code = (
+        "import fandec.recovery as r\n"
+        "from fandec.squarezero import ProductManifold, ProjLine\n"
+        "r.bundle = lambda pm: object() if len(pm) > 1 else None\n"
+        "one = ProductManifold([ProjLine()])\n"
+        "try:\n"
+        "    r.cancellation_check(one, one, one)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cancellation law violated on this instance\n"
 
 
 def test_bundle_serialization_canonical():

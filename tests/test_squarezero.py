@@ -47,6 +47,14 @@ def test_factor_kind_validation():
         PQ(-1, 0)
     with pytest.raises(DomainError):
         Diag(0)
+    with pytest.raises(DomainError):
+        PQ(True, False)  # bools are not integers here, as in the fan code
+    with pytest.raises(DomainError):
+        Diag(True)
+    with pytest.raises(DomainError):
+        ProductManifold([3])
+    with pytest.raises(DomainError):
+        profile("CP1")
     assert str(PQ(3, 1)) == "PQ(3,1)"
     assert str(Diag(2)) == "DIAG(2)"
     assert str(ProjLine()) == "CP1"
