@@ -202,10 +202,6 @@ class ValidationReport:
         }
 
 
-def _cone_is_simplicial(fan: Fan, cone: Cone) -> bool:
-    return rank(fan.cone_matrix(cone)) == len(cone)
-
-
 def _cone_is_strongly_convex(fan: Fan, cone: Cone) -> bool:
     """No nonzero x has both x and -x in the cone.
 
@@ -332,17 +328,22 @@ def _pair_intersects_in_common_face(
     return True
 
 
-def _is_complete(fan: Fan) -> bool:
+def _cone_determinants(fan: Fan) -> Optional[list[int]]:
+    """Each maximal cone's determinant, or None if a cone has not dim rays."""
+    if any(len(cone) != fan.dim for cone in fan.maximal_cones):
+        return None
+    return [determinant(IntegerMatrix(fan.cone_rays(c))) for c in fan.maximal_cones]
+
+
+def _is_complete(fan: Fan, dets: Optional[list[int]]) -> bool:
     """Completeness for full-dimensional simplicial fans.
 
-    Criterion: every maximal cone has exactly dim independent rays, every
-    facet (a (dim-1)-subset of a cone's rays) lies in exactly two maximal
-    cones, and the facet-adjacency graph is connected.
+    Criterion: every maximal cone has dim rays and a nonzero determinant
+    (``dets``), every facet (a (dim-1)-subset of a cone's rays) lies in
+    exactly two maximal cones, and the facet-adjacency graph is connected.
     """
-    n = fan.dim
-    for cone in fan.maximal_cones:
-        if len(cone) != n or not _cone_is_simplicial(fan, cone):
-            return False
+    if dets is None or 0 in dets:
+        return False
     facet_cones: dict[tuple[int, ...], list[int]] = {}
     for ci, cone in enumerate(fan.maximal_cones):
         for drop in cone.ray_indices:
@@ -373,7 +374,7 @@ def validate(fan: Fan) -> ValidationReport:
     are out of scope); a fan with a non-simplicial maximal cone reports
     pairwise_faces False along with simplicial False.
     """
-    simplicial = all(_cone_is_simplicial(fan, c) for c in fan.maximal_cones)
+    simplicial = all(rank(fan.cone_matrix(c)) == len(c) for c in fan.maximal_cones)
     strongly_convex = all(_cone_is_strongly_convex(fan, c) for c in fan.maximal_cones)
     smooth = all(extends_to_basis(fan.cone_rays(c), fan.dim) for c in fan.maximal_cones)
     if simplicial:
@@ -387,7 +388,7 @@ def validate(fan: Fan) -> ValidationReport:
                 break
     else:
         pairwise = False
-    complete = _is_complete(fan)
+    complete = _is_complete(fan, _cone_determinants(fan))
     return ValidationReport(
         strongly_convex=strongly_convex,
         simplicial=simplicial,
@@ -399,9 +400,8 @@ def validate(fan: Fan) -> ValidationReport:
 
 def is_smooth_complete(fan: Fan) -> bool:
     """The cheap runtime gate used by product/factorize/isomorphic."""
-    return _is_complete(fan) and all(
-        extends_to_basis(fan.cone_rays(c), fan.dim) for c in fan.maximal_cones
-    )
+    dets = _cone_determinants(fan)
+    return _is_complete(fan, dets) and all(d in (1, -1) for d in dets)
 
 
 def _require_smooth_complete(fan: Fan, op: str) -> None:

@@ -1,7 +1,8 @@
 """Exact integer linear algebra on the lattice Z^n.
 
-Determinants, Smith normal form with transformation certificates, integer
-kernels, and the extend-to-basis test that underlies fan smoothness.  All
+Two eliminations: Bareiss fraction-free echelon form gives determinants and
+ranks; Smith normal form with certificates gives integer kernels, the
+extend-to-basis test behind fan smoothness, and unimodular inverses.  All
 arithmetic uses Python integers, so results are exact at any magnitude;
 the desk-scale bounds below are enforced where external data enters
 (fan construction and file parsing), not on intermediate certificates.
@@ -147,28 +148,45 @@ class IntegerMatrix:
         return f"IntegerMatrix([{body}])"
 
 
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Bareiss fraction-free row echelon form: (rank, swap sign, last pivot).
+
+    Every entry stays a minor of the input, so each division by the
+    previous pivot is exact.  A column with no pivot left is skipped, which
+    gives the rank of a rectangular matrix; a square matrix of full rank
+    has determinant sign * last pivot.  Rows are swapped only when the
+    entry on the staircase is zero.
+    """
+    a = [list(r) for r in rows]
+    nr, nc = len(a), len(a[0])
+    r, sign, prev = 0, 1, 1
+    for col in range(nc):
+        if a[r][col] == 0:
+            swap = next((i for i in range(r + 1, nr) if a[i][col] != 0), None)
+            if swap is None:
+                continue
+            a[r], a[swap] = a[swap], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for i in range(r + 1, nr):
+            row = a[i]
+            x = row[col]
+            for j in range(col + 1, nc):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
+        r += 1
+        if r == nr:
+            break
+    return r, sign, prev
+
+
 def determinant(m: IntegerMatrix) -> int:
     """Exact determinant via Bareiss fraction-free elimination."""
     if m.rows != m.cols:
         raise DomainError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: division by the previous pivot is exact.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, sign, last = _echelon(m.entries)
+    return sign * last if r == m.rows else 0
 
 
 def is_unimodular(m: IntegerMatrix) -> bool:
@@ -272,27 +290,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 
 def rank(m: IntegerMatrix) -> int:
     """Rank over Q, by fraction-free elimination."""
-    a = [list(r) for r in m.entries]
-    nr, nc = len(a), len(a[0])
-    r = 0
-    for col in range(nc):
-        pivot = next((i for i in range(r, nr) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, nr):
-            if a[i][col] != 0:
-                p, q = a[r][col], a[i][col]
-                a[i] = [p * x - q * y for x, y in zip(a[i], a[r])]
-                g = 0
-                for x in a[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    a[i] = [x // g for x in a[i]]
-        r += 1
-        if r == nr:
-            break
-    return r
+    return _echelon(m.entries)[0]
 
 
 def kernel_basis(m: IntegerMatrix) -> list[LatticeVector]:
@@ -330,31 +328,16 @@ def extends_to_basis(vectors: Sequence[Sequence[int]], n: int) -> bool:
 
 
 def unimodular_inverse(m: IntegerMatrix) -> IntegerMatrix:
-    """Inverse of a unimodular matrix, exactly, via cofactors."""
+    """Inverse of a unimodular matrix, read off its Smith certificate.
+
+    The Smith form of a unimodular matrix is the identity, so u @ m @ v == I
+    and the inverse is v @ u.
+    """
     det = determinant(m)
     if abs(det) != 1:
         raise DomainError(f"matrix with determinant {det} has no integer inverse")
-    n = m.rows
-    if n == 1:
-        return IntegerMatrix([[det]])
-    cof = [
-        [
-            (-1) ** (i + j)
-            * determinant(
-                IntegerMatrix(
-                    [
-                        [m.entry(r, c) for c in range(n) if c != j]
-                        for r in range(n)
-                        if r != i
-                    ]
-                )
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # inverse = adjugate / det and det is +-1
-    return IntegerMatrix([[cof[j][i] * det for j in range(n)] for i in range(n)])
+    snf = smith_normal_form(m)
+    return snf.v @ snf.u
 
 
 def random_unimodular(n: int, rng: Random, max_entry: int = 5, steps: int = 40) -> IntegerMatrix:

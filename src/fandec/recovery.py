@@ -99,6 +99,11 @@ class InvariantBundle:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def _require_count(v, name: str) -> None:
+    if type(v) is not int or v < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
+
+
 @dataclass(frozen=True, eq=True)
 class MultiplicityVector:
     """Factor multiplicities: m CP^1, m_pq PQ factors, n_r Diag factors, n S^4."""
@@ -109,24 +114,23 @@ class MultiplicityVector:
     n: int = 0
 
     def __post_init__(self):
-        for name, v in (("m", self.m), ("n", self.n)):
-            if not isinstance(v, int) or v < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
+        _require_count(self.m, "m")
+        _require_count(self.n, "n")
         pq = {}
         for key, count in self.m_pq.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(type(x) is int for x in key)):
+                raise DomainError(f"m_pq keys must be pairs of integers (p, q), got {key!r}")
             p, q = key
             if not (p >= q >= 0 and p + q >= 1):
                 raise DomainError(f"m_pq key must satisfy p >= q >= 0, p+q >= 1, got {key}")
-            if not isinstance(count, int) or count < 0:
-                raise DomainError(f"m_pq[{key}] must be a nonnegative integer, got {count!r}")
+            _require_count(count, f"m_pq[{key}]")
             if count:
                 pq[(p, q)] = count
         nr = {}
         for r, count in self.n_r.items():
-            if not isinstance(r, int) or r < 2:
+            if type(r) is not int or r < 2:
                 raise DomainError(f"n_r keys must be integers >= 2 (no DIAG(1)), got {r!r}")
-            if not isinstance(count, int) or count < 0:
-                raise DomainError(f"n_r[{r}] must be a nonnegative integer, got {count!r}")
+            _require_count(count, f"n_r[{r}]")
             if count:
                 nr[r] = count
         object.__setattr__(self, "m_pq", pq)

@@ -1,8 +1,9 @@
 """Acceptance suite: one check per advertised guarantee, runnable anywhere.
 
 Each criterion is a no-argument function that raises AssertionError on
-failure and returns a one-line detail string on success.  Runtime budgets
-are asserted inside the criteria themselves.  All randomness is seeded,
+failure (through ``_expect``, so the checks also run under ``python -O``)
+and returns a one-line detail string on success.  Runtime budgets are
+checked inside the criteria themselves.  All randomness is seeded,
 so the suite is deterministic.
 """
 
@@ -67,9 +68,15 @@ class CriterionResult:
     seconds: float
 
 
+def _expect(ok: bool, msg: object = "") -> None:
+    """A criterion check that, unlike ``assert``, survives ``python -O``."""
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _within(t0: float, budget: float, label: str) -> float:
     elapsed = time.perf_counter() - t0
-    assert elapsed < budget, f"{label} took {elapsed:.2f}s, over the {budget:.0f}s budget"
+    _expect(elapsed < budget, f"{label} took {elapsed:.2f}s, over the {budget:.0f}s budget")
     return elapsed
 
 
@@ -80,10 +87,10 @@ def check_balanced_sum_mod2_count() -> str:
     for p in (1, 2, 3):
         count = count_square_zero(profile(PQ(p, p)), 2)
         expected = 2 ** (2 * p - 1) - 1
-        assert count == expected, f"PQ({p},{p}) mod 2: counted {count}, closed form {expected}"
-        assert count == closed_count_mod2(PQ(p, p))
+        _expect(count == expected, f"PQ({p},{p}) mod 2: counted {count}, closed form {expected}")
+        _expect(count == closed_count_mod2(PQ(p, p)))
         got.append(count)
-    assert got == [1, 7, 31]
+    _expect(got == [1, 7, 31])
     elapsed = _within(t0, 1.0, "balanced-sum counting")
     return f"PQ(p,p) mod-2 counts {got} match 2^(2p-1)-1 in {elapsed:.2f}s"
 
@@ -95,10 +102,10 @@ def check_sphere_product_mod2_count() -> str:
     for r in (1, 2, 3, 4):
         count = count_square_zero(profile(Diag(r)), 2)
         expected = 2 ** (2 * r - 1) + 2 ** (r - 1) - 1
-        assert count == expected, f"DIAG({r}) mod 2: counted {count}, closed form {expected}"
-        assert count == closed_count_mod2(Diag(r))
+        _expect(count == expected, f"DIAG({r}) mod 2: counted {count}, closed form {expected}")
+        _expect(count == closed_count_mod2(Diag(r)))
         got.append(count)
-    assert got == [2, 9, 35, 135]
+    _expect(got == [2, 9, 35, 135])
     elapsed = _within(t0, 1.0, "sphere-product counting")
     return f"DIAG(r) mod-2 counts {got} match 2^(2r-1)+2^(r-1)-1 in {elapsed:.2f}s"
 
@@ -136,9 +143,10 @@ def check_census_count_additivity() -> str:
             pm = _random_product(rng, 4, cap)
             total = count_square_zero(product_manifold_profile(pm), modulus)
             by_factor = sum(count_square_zero(profile(f), modulus) for f in pm.factors)
-            assert total == by_factor, (
+            _expect(
+                total == by_factor,
                 f"{pm.descriptor()} mod {modulus}: product count {total}, "
-                f"factor sum {by_factor}"
+                f"factor sum {by_factor}",
             )
             runs += 1
     elapsed = _within(t0, 30.0, "additivity sweep")
@@ -158,24 +166,24 @@ def _split_census(p: int, q: int) -> list[Component]:
 
 def check_census_component_encoding() -> str:
     """Stated component counts, and agreement of the two PQ(*,1) encodings."""
-    assert factor_census(ProjLine()) == [LINE, LINE]
-    assert factor_census(PQ(1, 1)) == [LINE] * 4
+    _expect(factor_census(ProjLine()) == [LINE, LINE])
+    _expect(factor_census(PQ(1, 1)) == [LINE] * 4)
     for p in range(1, 7):
-        assert factor_census(PQ(p, 0)) == []
+        _expect(factor_census(PQ(p, 0)) == [])
     for q in range(2, 7):
         comps = factor_census(PQ(q, 1))
-        assert comps == [(0, q - 1)] * 2, f"PQ({q},1) census {comps}"
-        assert [component_label(c) for c in comps] == [f"S{q - 1}xR"] * 2
+        _expect(comps == [(0, q - 1)] * 2, f"PQ({q},1) census {comps}")
+        _expect([component_label(c) for c in comps] == [f"S{q - 1}xR"] * 2)
     for r in range(2, 6):
-        assert factor_census(Diag(r)) == [(r - 1, r - 1)]
-    assert factor_census(FourSphere()) == []
+        _expect(factor_census(Diag(r)) == [(r - 1, r - 1)])
+    _expect(factor_census(FourSphere()) == [])
     # the dedicated small cases must match the generic sphere-pair rule
     for p in range(1, 7):
         for q in range(1, p + 1):
-            assert factor_census(PQ(p, q)) == _split_census(p, q), f"PQ({p},{q})"
+            _expect(factor_census(PQ(p, q)) == _split_census(p, q), f"PQ({p},{q})")
     sample = ProductManifold([ProjLine(), PQ(3, 1), Diag(2)])
     counts = real_census(sample).as_dict()
-    assert counts == {"R": 2, "S2xR": 2, "S1xS1xR": 1}, counts
+    _expect(counts == {"R": 2, "S2xR": 2, "S1xS1xR": 1}, counts)
     return "component counts and the dual PQ(*,1) encodings agree for p,q <= 6"
 
 
@@ -241,20 +249,22 @@ def check_fan_factorization_roundtrip() -> str:
         )
         result = factorize(scrambled)
         names = "*".join(_FACTOR_FANS[i][0] for i in picks)
-        assert reassemble(result).support_key() == scrambled.support_key(), (
-            f"trial {trial} ({names}): reassembled product differs from input"
+        _expect(
+            reassemble(result).support_key() == scrambled.support_key(),
+            f"trial {trial} ({names}): reassembled product differs from input",
         )
         got = [b.factor for b in result.blocks]
-        assert _match_up_to_iso(got, expected), (
-            f"trial {trial} ({names}): recovered {len(got)} blocks, "
-            f"multiset does not match"
+        _expect(
+            _match_up_to_iso(got, expected),
+            f"trial {trial} ({names}): recovered {len(got)} blocks, multiset does not match",
         )
         if scrambled.dim <= 4:
             best, attained = _finest_partitions(scrambled)
-            assert best == len(result.blocks), (
-                f"trial {trial} ({names}): oracle finest {best} vs {len(result.blocks)}"
+            _expect(
+                best == len(result.blocks),
+                f"trial {trial} ({names}): oracle finest {best} vs {len(result.blocks)}",
             )
-            assert attained == 1, f"trial {trial} ({names}): finest split not unique"
+            _expect(attained == 1, f"trial {trial} ({names}): finest split not unique")
             oracle_hits += 1
     elapsed = _within(t0, 60.0, "factorization sweep")
     return f"100 scrambled products recovered; oracle agreed on {oracle_hits} dim<=4 runs in {elapsed:.1f}s"
@@ -266,22 +276,23 @@ def check_hirzebruch_blowup_isomorphism() -> str:
     cp1 = projective_fan(1)
     f0 = hirzebruch(0)
     blocks = factorize(f0).blocks
-    assert len(blocks) == 2 and all(
-        isomorphic(b.factor, cp1) is not None for b in blocks
-    ), "F0 should split into two CP1 blocks"
+    _expect(
+        len(blocks) == 2 and all(isomorphic(b.factor, cp1) is not None for b in blocks),
+        "F0 should split into two CP1 blocks",
+    )
     for a in (1, 2, 3):
         got = len(factorize(hirzebruch(a)).blocks)
-        assert got == 1, f"F{a} should be a single block, got {got}"
+        _expect(got == 1, f"F{a} should be a single block, got {got}")
 
     blown_f0 = blowup_at_cone(f0, f0.maximal_cones[0])
     cp2 = projective_fan(2)
     two_point_blowup = blowup_at_cone(blowup_at_cone(cp2, (0, 1)), (0, 2))
     cert = isomorphic(blown_f0, two_point_blowup)
-    assert cert is not None, "blow-up of F0 should match the two-point blow-up of CP2"
-    assert is_unimodular(cert)
+    _expect(cert is not None, "blow-up of F0 should match the two-point blow-up of CP2")
+    _expect(is_unimodular(cert))
     # blowing up a point on the exceptional curve instead gives a different fan
     chained = blowup_at_cone(blowup_at_cone(cp2, (0, 1)), (0, 3))
-    assert isomorphic(blown_f0, chained) is None, "chained blow-up should not match"
+    _expect(isomorphic(blown_f0, chained) is None, "chained blow-up should not match")
     return "F0 splits, F1..F3 do not, blowup(F0) matches the two-point blowup of CP2"
 
 
@@ -306,7 +317,7 @@ def _all_low_dim_vectors(max_dim: int = 6, bound: int = 5) -> list[MultiplicityV
             for m in range(0, max_dim - 2 * size + 1):
                 pm = ProductManifold([ProjLine()] * m + list(combo))
                 out.append(multiplicities_of(pm))
-                assert pm.complex_dim <= max_dim
+                _expect(pm.complex_dim <= max_dim)
     return out
 
 
@@ -318,17 +329,15 @@ def check_invariant_recovery_roundtrip() -> str:
     for i in range(1000):
         v = _random_vector(rng)
         back = recover(bundle(realize(v)))
-        assert back == v, f"round-trip {i}: {v.summary()} came back as {back.summary()}"
+        _expect(back == v, f"round-trip {i}: {v.summary()} came back as {back.summary()}")
     vectors = _all_low_dim_vectors()
     seen: dict[tuple, MultiplicityVector] = {}
     for v in vectors:
         key = bundle(realize(v)).canonical_key()
         if key in seen:
-            assert seen[key] == v, (
-                f"bundle collision: {seen[key].summary()} vs {v.summary()}"
-            )
+            _expect(seen[key] == v, f"bundle collision: {seen[key].summary()} vs {v.summary()}")
         seen[key] = v
-    assert len(seen) == len(vectors)
+    _expect(len(seen) == len(vectors))
     elapsed = _within(t0, 60.0, "recovery sweep")
     return (
         f"1000 round-trips exact; all {len(vectors)} multisets of complex dim <= 6 "
@@ -356,12 +365,12 @@ def check_connected_sum_normal_form() -> str:
                 before = top_invariants(p, q, r)
                 nf = normalize(p, q, r)
                 after = top_invariants(*_nf_triple(nf))
-                assert before.chi == after.chi, f"({p},{q},{r}) chi changed"
-                assert abs(before.sigma) == abs(after.sigma), f"({p},{q},{r}) |sigma| changed"
-                assert before.spin == after.spin, f"({p},{q},{r}) spin changed"
-                assert normalize(*_nf_triple(nf)) == nf, f"({p},{q},{r}) not idempotent"
+                _expect(before.chi == after.chi, f"({p},{q},{r}) chi changed")
+                _expect(abs(before.sigma) == abs(after.sigma), f"({p},{q},{r}) |sigma| changed")
+                _expect(before.spin == after.spin, f"({p},{q},{r}) spin changed")
+                _expect(normalize(*_nf_triple(nf)) == nf, f"({p},{q},{r}) not idempotent")
                 checked += 1
-    assert normalize(1, 0, 1) == PQ(2, 1), "spot value (1,0,1)"
+    _expect(normalize(1, 0, 1) == PQ(2, 1), "spot value (1,0,1)")
     return f"{checked} triples preserve (chi, |sigma|, spin); normalize idempotent"
 
 
@@ -379,8 +388,9 @@ def check_poincare_poly_disentangling() -> str:
         for p, count in m_p0.items():
             poly = poly_mul(poly, poly_pow((1, p, 1), count))
         got_n, got_m = recover_poincare_tail(poly)
-        assert (got_n, got_m) == (n, m_p0), (
-            f"case {i}: expected n={n}, m={m_p0}, got n={got_n}, m={got_m}"
+        _expect(
+            (got_n, got_m) == (n, m_p0),
+            f"case {i}: expected n={n}, m={m_p0}, got n={got_n}, m={got_m}",
         )
     return "50 random degree<=8 polynomials disentangled exactly"
 

@@ -27,8 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-import numpy as np
-
 from .errors import BudgetError, DomainError, ParseError
 from .polys import Poly, poly_mul
 
@@ -294,6 +292,7 @@ def product_profile(profiles: list[QuadraticProfile]) -> QuadraticProfile:
 
 
 def _count_chunk(b2, b4, pairs, modulus, start, stop) -> int:
+    import numpy as np
     ids = np.arange(start, stop, dtype=np.int64)
     coeffs = np.empty((ids.size, b2), dtype=np.int64)
     place = 1
@@ -332,6 +331,7 @@ def count_square_zero(
         )
     if b2 == 0:
         return 0
+    import numpy as np  # the enumeration backend, loaded only when counting
     pairs = []
     for (i, j), vec in p.products.items():
         reduced = [x % modulus for x in vec]

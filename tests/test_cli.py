@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from fandec.cli import run
 from fandec.fankit import fan_from_json, hirzebruch
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(capsys, *argv):
@@ -203,3 +209,22 @@ def test_selftest_json_single(capsys):
     assert status == 0
     data = json.loads(out)
     assert len(data) == 1 and data[0]["passed"] is True
+
+
+def test_numpy_is_not_imported_until_a_count_runs():
+    code = (
+        "import sys\n"
+        "import fandec.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "fandec.cli.run(['mf-poincare', 'CP1^2'])\n"
+        "print('numpy' in sys.modules)\n"
+        "fandec.cli.run(['mf-count', 'PQ(2,1)', '--mod', '3'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    flags = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+    assert flags == ["False", "False", "True"]

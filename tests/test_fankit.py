@@ -121,6 +121,44 @@ def test_validate_pairwise_faces_failure():
     assert not is_smooth_complete(overlapping)
 
 
+def test_gate_rejects_a_complete_fan_with_a_determinant_2_cone():
+    # complete, but the cones on (1,0),(1,2) and (1,2),(-1,0) have index 2
+    fan = Fan(2, [(1, 0), (1, 2), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+    report = validate(fan)
+    assert report.complete and report.simplicial and not report.smooth
+    assert not is_smooth_complete(fan)
+    with pytest.raises(DomainError):
+        factorize(fan)
+
+
+def test_gate_rejects_a_lower_dimensional_maximal_cone():
+    flag = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)])
+    assert not is_smooth_complete(flag)
+    assert not validate(flag).complete
+    with pytest.raises(DomainError):
+        product(flag, projective_fan(1))
+    # CP3 plus a two-dimensional maximal cone on two new rays
+    cp3 = projective_fan(3)
+    cones = [c.ray_indices for c in cp3.maximal_cones] + [(4, 5)]
+    extra = Fan(3, list(cp3.rays) + [(1, 1, 0), (0, 1, 1)], cones)
+    assert not is_smooth_complete(extra)
+    with pytest.raises(DomainError):
+        factorize(extra)
+
+
+def test_gate_reads_cone_determinants_only(monkeypatch):
+    import fandec.fankit as fk
+
+    def forbidden(*args):
+        raise AssertionError("the gate must not call rank or extends_to_basis")
+
+    monkeypatch.setattr(fk, "rank", forbidden)
+    monkeypatch.setattr(fk, "extends_to_basis", forbidden)
+    assert is_smooth_complete(product(hirzebruch(2), projective_fan(2)))
+    assert not is_smooth_complete(Fan(2, [(1, 0), (0, 1)], [(0, 1)]))
+    assert not is_smooth_complete(Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (0, 2), (1, 2)]))
+
+
 def test_product_frozen():
     pr = product(projective_fan(1), projective_fan(2))
     assert pr.dim == 3

@@ -137,22 +137,40 @@ def test_extends_to_basis_unimodular_invariance():
         assert extends_to_basis(moved, n) == before
 
 
+def snf_rank(m):
+    s = smith_normal_form(m)
+    return sum(1 for i in range(min(m.rows, m.cols)) if s.d.entry(i, i) != 0)
+
+
 def test_rank():
     assert rank(IntegerMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert rank(IntegerMatrix.from_rows([[0, 0], [0, 0]])) == 0
     assert rank(IntegerMatrix.identity(3)) == 3
+    # a zero column before the pivots, and a column with no pivot left
+    assert rank(IntegerMatrix.from_rows([[0, 1, 2], [0, 2, 4], [0, 0, 1]])) == 2
+    assert rank(IntegerMatrix.from_rows([[1, 2, 3], [2, 4, 7]])) == 2
     rng = random.Random(303)
-    for _ in range(100):
-        rows_n = rng.randint(1, 4)
-        cols_n = rng.randint(1, 4)
+    for trial in range(600):
+        rows_n = rng.randint(1, 8)
+        cols_n = rng.randint(1, 8)
+        if trial % 3 == 0:
+            # sparse entries exercise row swaps and skipped columns
+            entries = [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(rows_n * cols_n)]
+            m = IntegerMatrix([entries[i * cols_n : (i + 1) * cols_n] for i in range(rows_n)])
+            assert rank(m) == snf_rank(m)
+            continue
+        # planted rank: a rows_n x k times k x cols_n product
+        k = rng.randint(0, min(rows_n, cols_n))
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows_n)]
+        right = [[rng.randint(-4, 4) for _ in range(cols_n)] for _ in range(k)]
         m = IntegerMatrix.from_rows(
-            [[rng.randint(-6, 6) for _ in range(cols_n)] for _ in range(rows_n)]
+            [
+                [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols_n)]
+                for i in range(rows_n)
+            ]
         )
-        s = smith_normal_form(m)
-        snf_rank = sum(
-            1 for i in range(min(rows_n, cols_n)) if s.d.entry(i, i) != 0
-        )
-        assert rank(m) == snf_rank
+        assert rank(m) == snf_rank(m) <= k
+        assert rank(m.transpose()) == rank(m)
 
 
 def test_kernel_basis():
@@ -189,6 +207,22 @@ def test_extends_to_basis():
     assert not extends_to_basis([(1, 0, 0), (2, 0, 0)], 3)
 
 
+def adjugate_inverse(m):
+    # inverse = adjugate / det with det = +-1, from cofactors; independent of
+    # the Smith certificate that unimodular_inverse reads
+    n = m.rows
+    det = determinant(m)
+    if n == 1:
+        return IntegerMatrix([[det]])
+    rows = [list(r) for r in m.entries]
+
+    def cofactor(i, j):
+        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * determinant(IntegerMatrix(minor))
+
+    return IntegerMatrix([[cofactor(j, i) * det for j in range(n)] for i in range(n)])
+
+
 def test_unimodular_inverse():
     m = IntegerMatrix.from_rows([[2, 1], [1, 1]])
     inv = unimodular_inverse(m)
@@ -196,8 +230,20 @@ def test_unimodular_inverse():
     assert (inv @ m).entries == IntegerMatrix.identity(2).entries
     one = IntegerMatrix.from_rows([[-1]])
     assert unimodular_inverse(one).entries == ((-1,),)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="matrix with determinant 2 has no integer inverse"):
         unimodular_inverse(IntegerMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(DomainError, match="matrix with determinant 0 has no integer inverse"):
+        unimodular_inverse(IntegerMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(DomainError, match="determinant requires a square matrix, got 1x3"):
+        unimodular_inverse(IntegerMatrix.from_rows([[1, 2, 3]]))
+
+
+def test_unimodular_inverse_matches_adjugate():
+    rng = random.Random(515)
+    for n in range(1, 9):
+        for _ in range(12):
+            u = random_unimodular(n, rng, max_entry=5)
+            assert unimodular_inverse(u) == adjugate_inverse(u)
 
 
 def test_random_unimodular_is_unimodular():

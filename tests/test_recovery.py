@@ -48,6 +48,24 @@ def test_multiplicity_vector_normalizes():
         MultiplicityVector(n_r={1: 2})  # DIAG(1) is not in the alphabet
     with pytest.raises(DomainError):
         MultiplicityVector(m_pq={(1, 2): 1})
+    bad = [
+        dict(m=True),
+        dict(n=False),
+        dict(m=1.0),
+        dict(m_pq={(2, 1): True}),
+        dict(n_r={2: True}),
+        dict(m_pq={(2.5, 1): 1}),
+        dict(m_pq={(2, 1.0): 1}),
+        dict(m_pq={(True, False): 1}),
+        dict(m_pq={(2,): 1}),
+        dict(m_pq={(2, 1, 0): 1}),
+        dict(m_pq={"PQ": 1}),
+        dict(n_r={2.0: 1}),
+        dict(n_r={True: 1}),
+    ]
+    for kwargs in bad:
+        with pytest.raises(DomainError):
+            MultiplicityVector(**kwargs)
 
 
 def test_realize_and_multiplicities_inverse():
