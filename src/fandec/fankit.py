@@ -14,17 +14,27 @@ The two nontrivial algorithms:
   the input exactly; failed candidates fall back to coarsenings, finest
   first, and the single-block partition always certifies.
 
-* ``isomorphic`` searches for a unimodular change of basis by matching one
-  fixed maximal cone of the first fan against every ray ordering of every
-  maximal cone of the second.  Any lattice isomorphism of fans must induce
-  such a matching, so the search is exhaustive, and the first hit (in a
-  deterministic order) is returned as a certificate.
+* ``isomorphic`` searches for a unimodular change of basis that carries one
+  fixed maximal cone of the first fan, ray by ray, onto an ordering of a
+  maximal cone of the second.  Any lattice isomorphism of fans acts this way
+  on that cone, so trying every cone and every ordering is exhaustive.  Wall
+  relations prune the search.  Where the maximal cones tau+v and tau+v' meet
+  in the wall tau, v' = c_v v + sum c_w w over the rays w of tau
+  (Cox-Little-Schenck, *Toric Varieties*, 6.4), and each ray carries the
+  multiset of the relations it takes part in, with its role.  An isomorphism
+  maps walls to walls and keeps every coefficient on its ray, so it preserves
+  these signatures: fans whose signature multisets differ are rejected at
+  once, and a frame that sends a ray to one of another signature is skipped.
+  A skipped frame can never succeed and the enumeration order is unchanged,
+  so the first certificate found is the one the unpruned search returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -70,6 +80,18 @@ class Cone:
 
     def __iter__(self):
         return iter(self.ray_indices)
+
+
+# Cones are immutable, so every fan with the same index set holds one object.
+# Equal cones are interchangeable: a race between threads only costs memory.
+_CONES: "weakref.WeakValueDictionary[tuple[int, ...], Cone]" = weakref.WeakValueDictionary()
+
+
+def _shared_cone(ray_indices: tuple[int, ...]) -> Cone:
+    cone = _CONES.get(ray_indices)
+    if cone is None:
+        cone = _CONES[ray_indices] = Cone(ray_indices)
+    return cone
 
 
 class Fan:
@@ -141,7 +163,7 @@ class Fan:
 
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", tuple(canonical))
-        object.__setattr__(self, "maximal_cones", tuple(Cone(c) for c in cone_list))
+        object.__setattr__(self, "maximal_cones", tuple(_shared_cone(c) for c in cone_list))
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
@@ -335,6 +357,16 @@ def _cone_determinants(fan: Fan) -> Optional[list[int]]:
     return [determinant(IntegerMatrix(fan.cone_rays(c))) for c in fan.maximal_cones]
 
 
+def _facet_cones(fan: Fan) -> dict[tuple[int, ...], list[int]]:
+    """Each facet (a maximal cone's rays minus one) with the cones that hold it."""
+    facet_cones: dict[tuple[int, ...], list[int]] = {}
+    for ci, cone in enumerate(fan.maximal_cones):
+        idx = cone.ray_indices
+        for p in range(len(idx)):
+            facet_cones.setdefault(idx[:p] + idx[p + 1 :], []).append(ci)
+    return facet_cones
+
+
 def _is_complete(fan: Fan, dets: Optional[list[int]]) -> bool:
     """Completeness for full-dimensional simplicial fans.
 
@@ -344,11 +376,7 @@ def _is_complete(fan: Fan, dets: Optional[list[int]]) -> bool:
     """
     if dets is None or 0 in dets:
         return False
-    facet_cones: dict[tuple[int, ...], list[int]] = {}
-    for ci, cone in enumerate(fan.maximal_cones):
-        for drop in cone.ray_indices:
-            facet = tuple(i for i in cone.ray_indices if i != drop)
-            facet_cones.setdefault(facet, []).append(ci)
+    facet_cones = _facet_cones(fan)
     if any(len(cs) != 2 for cs in facet_cones.values()):
         return False
     # Connectivity of the facet-adjacency graph.
@@ -585,13 +613,114 @@ def reassemble(result: FactorizationResult) -> Fan:
     return Fan(combined.dim, rays, [c.ray_indices for c in combined.maximal_cones])
 
 
+def _cone_coordinates(fan: Fan) -> list[list[LatticeVector]]:
+    """Every ray's coordinates in every maximal cone's basis, by wall crossing.
+
+    ``coords[ci][r]`` holds ray r in the basis of cone ci, taken in
+    ray-index order.  The fan must pass the gate.  One unimodular inverse
+    gives the coordinates in cone 0; a depth-first walk then crosses walls,
+    which reaches every cone because the adjacency graph is connected.
+    Crossing from sigma = tau+v to sigma' = tau+v' is one pivot over all
+    rays: if v' has coordinates c in sigma's basis, then c_v = +-1 (both
+    determinants are +-1), so dividing by c_v is multiplying by it, and a
+    ray with coordinates x gets x_v*c_v on v' and x_w - x_v*c_v*c_w on each
+    ray w of tau.
+    """
+    cones = [c.ray_indices for c in fan.maximal_cones]
+    facet_cones = _facet_cones(fan)
+    inverse = unimodular_inverse(fan.cone_matrix(fan.maximal_cones[0]))
+    coords: list[Optional[list[LatticeVector]]] = [None] * len(cones)
+    coords[0] = [inverse.apply(r) for r in fan.rays]
+    stack = [0]
+    while stack:
+        ci = stack.pop()
+        cone, here = cones[ci], coords[ci]
+        for p in range(len(cone)):
+            a, b = facet_cones[cone[:p] + cone[p + 1 :]]
+            cj = b if a == ci else a
+            if coords[cj] is not None:
+                continue
+            target = cones[cj]
+            new = next(i for i in target if i not in cone)
+            c = here[new]
+            cv, q = c[p], target.index(new)
+            moved = []
+            for x in here:
+                t = x[p] * cv
+                y = [xw - t * cw for xw, cw in zip(x, c)]
+                del y[p]
+                y.insert(q, t)
+                moved.append(tuple(y))
+            coords[cj] = moved
+            stack.append(cj)
+    return coords
+
+
+def _ray_signatures(fan: Fan) -> list[frozenset]:
+    """Each ray's multiset of (wall relation, role) over the ordered walls.
+
+    The ordered wall (sigma, v) of sigma = tau+v has the relation c: the
+    coordinates in sigma's basis of the ray v' across the wall.  Its key is
+    (c_v, the sorted c_w over the rays w of tau).  The wall counts once for
+    v with role "drop", once for v' with role "opposite", and once for each
+    w with its own coefficient c_w as role.  The multiset is returned as a
+    frozenset of (key, role) -> count items.  The fan must pass the gate.
+    """
+    cones = [c.ray_indices for c in fan.maximal_cones]
+    facet_cones = _facet_cones(fan)
+    coords = _cone_coordinates(fan)
+    tallies: list[Counter] = [Counter() for _ in fan.rays]
+    for ci, cone in enumerate(cones):
+        for p, v in enumerate(cone):
+            facet = cone[:p] + cone[p + 1 :]
+            a, b = facet_cones[facet]
+            opposite = next(i for i in cones[b if a == ci else a] if i not in cone)
+            c = coords[ci][opposite]
+            rest = c[:p] + c[p + 1 :]
+            key = (c[p], tuple(sorted(rest)))
+            tallies[v][key, "drop"] += 1
+            tallies[opposite][key, "opposite"] += 1
+            for w, cw in zip(facet, rest):
+                tallies[w][key, cw] += 1
+    return [frozenset(t.items()) for t in tallies]
+
+
+def _matching_orders(rays: tuple[int, ...], want: list, signatures: list):
+    """Orderings of ``rays`` whose k-th ray has signature want[k].
+
+    They come in the order of ``itertools.permutations(rays)``, which is
+    the order the unpruned search tries them in.
+    """
+    order: list[int] = []
+    free = list(rays)
+
+    def extend():
+        if not free:
+            yield tuple(order)
+            return
+        wanted = want[len(order)]
+        for j, r in enumerate(free):
+            if signatures[r] == wanted:
+                order.append(free.pop(j))
+                yield from extend()
+                free.insert(j, order.pop())
+
+    return extend()
+
+
 def isomorphic(f1: Fan, f2: Fan) -> Optional[IntegerMatrix]:
     """Unimodular map carrying f1 onto f2 (rays to rays, cones to cones).
 
-    Fixes the lexicographically least maximal cone of f1 and tries every
-    ray ordering of every maximal cone of f2 as its image; any fan
-    isomorphism acts this way on that cone, so the search is exhaustive.
-    Returns the first certificate found, or None.
+    Fixes the lexicographically least maximal cone sigma of f1 and tries
+    every ray ordering of every maximal cone tau of f2 as its image; any
+    fan isomorphism acts this way on sigma, so the search is exhaustive.
+    Ray signatures from the wall relations (``_ray_signatures``) prune it:
+    an isomorphism maps walls to walls and keeps every relation coefficient
+    on its ray, so it preserves signatures.  Hence f1 and f2 with different
+    signature multisets are not isomorphic, and a tau or an ordering that
+    sends a ray of sigma to a ray of another signature cannot succeed.  The
+    frames that remain are tried in the unpruned order with the unpruned
+    checks, so the first certificate found is the same.  Returns it, or None.
     """
     _require_smooth_complete(f1, "isomorphic")
     _require_smooth_complete(f2, "isomorphic")
@@ -599,14 +728,21 @@ def isomorphic(f1: Fan, f2: Fan) -> Optional[IntegerMatrix]:
         return None
     if len(f1.rays) != len(f2.rays) or len(f1.maximal_cones) != len(f2.maximal_cones):
         return None
+    signatures_1, signatures_2 = _ray_signatures(f1), _ray_signatures(f2)
+    if Counter(signatures_1) != Counter(signatures_2):
+        return None
 
     sigma = f1.maximal_cones[0]
+    want = [signatures_1[i] for i in sigma.ray_indices]
+    want_multiset = Counter(want)
     inverse = unimodular_inverse(f1.cone_matrix(sigma))
     ray_index_2 = {r: i for i, r in enumerate(f2.rays)}
     cone_set_2 = {c.ray_indices for c in f2.maximal_cones}
 
     for tau in f2.maximal_cones:
-        for perm in itertools.permutations(tau.ray_indices):
+        if Counter(signatures_2[i] for i in tau.ray_indices) != want_multiset:
+            continue
+        for perm in _matching_orders(tau.ray_indices, want, signatures_2):
             target = IntegerMatrix.from_columns([f2.rays[i] for i in perm])
             candidate = target @ inverse
             image = [candidate.apply(r) for r in f1.rays]

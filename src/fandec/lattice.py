@@ -79,7 +79,8 @@ class IntegerMatrix:
             if len(r) != width:
                 raise DomainError("matrix rows must all have the same length")
             for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
+                # exact ints pass on one type test; bools and non-ints fall through
+                if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
                     raise DomainError(f"matrix entries must be integers, got {x!r}")
         object.__setattr__(self, "entries", rows)
 

@@ -1,12 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from fandec.cli import run
-from fandec.fankit import fan_from_json, hirzebruch
+from fandec.fankit import Fan, fan_from_json, fan_to_json, hirzebruch, product
+from fandec.lattice import random_unimodular
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -108,6 +110,26 @@ def test_fan_gen_f0_blowup_and_iso(capsys, tmp_path):
     status, out, _ = invoke(capsys, "fan-iso", str(f1_path), str(f1b_path), "--json")
     data = json.loads(out)
     assert data["isomorphic"] is True and len(data["matrix"]) == 2
+
+
+def test_fan_iso_dim6_negative(capsys, tmp_path):
+    # F1^3 against F1^2 x F2, both scrambled: 64 cones and 6! orderings of each
+    rng = random.Random(36)
+    f1, f2 = hirzebruch(1), hirzebruch(2)
+    paths = []
+    for last in (f1, f2):
+        fan = product(product(f1, f1), last)
+        u = random_unimodular(6, rng)
+        moved = Fan(6, [u.apply(r) for r in fan.rays], [c.ray_indices for c in fan.maximal_cones])
+        path = tmp_path / f"f{len(paths)}.json"
+        path.write_text(fan_to_json(moved), encoding="utf-8")
+        paths.append(str(path))
+    status, out, _ = invoke(capsys, "fan-iso", *paths)
+    assert status == 0
+    assert out.strip() == "NOT ISOMORPHIC"
+    status, out, _ = invoke(capsys, "fan-iso", *paths, "--json")
+    assert status == 0
+    assert json.loads(out) == {"isomorphic": False}
 
 
 def test_fan_product_command(capsys, tmp_path):

@@ -1,10 +1,19 @@
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
 from fandec.errors import DomainError, ParseError
 from fandec.fankit import (
+    _cone_coordinates,
+    _matching_orders,
+    _ray_signatures,
+    _require_smooth_complete,
     Cone,
     Fan,
     blowup_at_cone,
@@ -21,7 +30,65 @@ from fandec.fankit import (
     reassemble,
     validate,
 )
-from fandec.lattice import is_unimodular, random_unimodular, unimodular_inverse
+from fandec.lattice import IntegerMatrix, is_unimodular, random_unimodular, unimodular_inverse
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def exhaustive_isomorphic(f1, f2):
+    """The unpruned frame search: every ordering of every maximal cone of f2."""
+    _require_smooth_complete(f1, "isomorphic")
+    _require_smooth_complete(f2, "isomorphic")
+    if f1.dim != f2.dim:
+        return None
+    if len(f1.rays) != len(f2.rays) or len(f1.maximal_cones) != len(f2.maximal_cones):
+        return None
+
+    sigma = f1.maximal_cones[0]
+    inverse = unimodular_inverse(f1.cone_matrix(sigma))
+    ray_index_2 = {r: i for i, r in enumerate(f2.rays)}
+    cone_set_2 = {c.ray_indices for c in f2.maximal_cones}
+
+    for tau in f2.maximal_cones:
+        for perm in itertools.permutations(tau.ray_indices):
+            target = IntegerMatrix.from_columns([f2.rays[i] for i in perm])
+            candidate = target @ inverse
+            image = [candidate.apply(r) for r in f1.rays]
+            mapped = []
+            ok = True
+            for r in image:
+                j = ray_index_2.get(r)
+                if j is None:
+                    ok = False
+                    break
+                mapped.append(j)
+            if not ok:
+                continue
+            if len(set(mapped)) != len(mapped):
+                continue
+            if all(
+                tuple(sorted(mapped[i] for i in cone.ray_indices)) in cone_set_2
+                for cone in f1.maximal_cones
+            ):
+                return candidate
+    return None
+
+
+def scrambled(fan, rng):
+    u = random_unimodular(fan.dim, rng, max_entry=4)
+    return Fan(fan.dim, [u.apply(r) for r in fan.rays], [c.ray_indices for c in fan.maximal_cones])
+
+
+def product_of(*fans):
+    out = fans[0]
+    for f in fans[1:]:
+        out = product(out, f)
+    return out
+
+
+# Folded non-fans that the gate still accepts (ROADMAP item 2).
+FOLD2 = Fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+FOLD3 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], list(itertools.combinations(range(4), 3)))
 
 
 def test_cone_normalization():
@@ -240,6 +307,12 @@ def test_isomorphic_negative_cases():
     assert isomorphic(projective_fan(1), projective_fan(2)) is None
     # even Hirzebruch surfaces are diffeomorphic to F0 but their fans differ
     assert isomorphic(hirzebruch(2), hirzebruch(4)) is None
+    # F1^3 vs F1^2 x F2 and F1^4 vs F1^3 x F2, scrambled: 64 cones x 6! and 256 cones x 8! frames
+    rng = random.Random(31)
+    f1, f2 = hirzebruch(1), hirzebruch(2)
+    assert isomorphic(scrambled(product_of(f1, f1, f1), rng), scrambled(product_of(f1, f1, f2), rng)) is None
+    dim8 = scrambled(product_of(f1, f1, f1, f1), rng), scrambled(product_of(f1, f1, f1, f2), rng)
+    assert isomorphic(*dim8) is None
 
 
 def test_isomorphic_under_random_unimodular_transform():
@@ -346,3 +419,167 @@ def test_load_fan(tmp_path):
     with pytest.raises(ParseError) as err:
         load_fan(str(tmp_path / "missing.json"))
     assert "missing.json" in str(err.value)
+
+
+def _outcome(search, f1, f2):
+    try:
+        cert = search(f1, f2)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+    return None if cert is None else cert.entries
+
+
+def test_isomorphic_matches_the_exhaustive_oracle():
+    rng = random.Random(4242)
+    cp1, cp2, f0 = projective_fan(1), projective_fan(2), hirzebruch(0)
+    blown = blowup_at_cone(cp2, (0, 1))
+    base = [cp1, cp2, projective_fan(3)] + [hirzebruch(a) for a in range(-2, 5)]
+    base += [
+        blown,
+        blowup_at_cone(f0, f0.maximal_cones[0]),
+        blowup_at_cone(blown, (0, 2)),
+        blowup_at_cone(blown, (0, 3)),
+        FOLD2,
+        FOLD3,
+        product(FOLD2, cp1),
+        product(FOLD3, cp1),
+        product(cp1, hirzebruch(1)),
+        product(cp1, hirzebruch(2)),
+        product(cp1, cp2),
+        product_of(cp1, cp1, cp1),
+        product_of(cp1, cp1, hirzebruch(1)),
+        product_of(cp1, cp1, hirzebruch(2)),
+        product(hirzebruch(1), hirzebruch(1)),
+        product(cp2, cp2),
+    ]
+    assert max(f.dim for f in base) <= 4
+    pool = base + [scrambled(f, rng) for f in base]
+    # complete but with a determinant-2 cone, and one quadrant: both fail the gate
+    rejected = [
+        Fan(2, [(1, 0), (1, 2), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        Fan(2, [(1, 0), (0, 1)], [(0, 1)]),
+    ]
+    found = 0
+    for f1, f2 in itertools.product(pool + rejected, repeat=2):
+        # both searches stop at the dim check; the pairs of dims (1, 2) stand for the rest
+        if f1.dim != f2.dim and (f1.dim, f2.dim) != (1, 2) and f1 not in rejected and f2 not in rejected:
+            continue
+        expected = _outcome(exhaustive_isomorphic, f1, f2)
+        assert _outcome(isomorphic, f1, f2) == expected, (f1, f2)
+        found += isinstance(expected, tuple) and expected[0] != "DomainError"
+    assert found > len(pool)
+
+
+def test_isomorphic_dim8_positive_certificate():
+    rng = random.Random(32)
+    cp2, f1, f2, f3 = projective_fan(2), hirzebruch(1), hirzebruch(2), hirzebruch(3)
+    source = scrambled(product_of(f1, f2, cp2, f3), rng)
+    target = scrambled(product_of(f3, cp2, f2, f1), rng)
+    cert = isomorphic(source, target)
+    assert cert is not None and is_unimodular(cert)
+    assert sorted(cert.apply(r) for r in source.rays) == sorted(target.rays)
+    target_cones = {frozenset(target.rays[i] for i in c) for c in target.maximal_cones}
+    assert {frozenset(cert.apply(source.rays[i]) for i in c) for c in source.maximal_cones} == target_cones
+
+
+def test_cone_coordinates_match_the_inverse_of_each_cone():
+    rng = random.Random(33)
+    cp1, cp2 = projective_fan(1), projective_fan(2)
+    fans = [
+        cp2,
+        hirzebruch(3),
+        blowup_at_cone(cp2, (0, 1)),
+        product(cp1, hirzebruch(1)),
+        product_of(cp1, cp2, hirzebruch(2)),
+        product_of(hirzebruch(1), hirzebruch(2), cp2),
+        FOLD3,
+    ]
+    for fan in fans + [scrambled(f, rng) for f in fans]:
+        coords = _cone_coordinates(fan)
+        assert len(coords) == len(fan.maximal_cones)
+        for cone, rows in zip(fan.maximal_cones, coords):
+            inverse = unimodular_inverse(fan.cone_matrix(cone))
+            assert rows == [inverse.apply(r) for r in fan.rays]
+
+
+def test_ray_signatures_are_invariants():
+    rng = random.Random(34)
+    cp1 = projective_fan(1)
+    fans = [projective_fan(3), hirzebruch(2), product(cp1, hirzebruch(1)), product_of(cp1, cp1, hirzebruch(3))]
+    for fan in fans:
+        signatures = _ray_signatures(fan)
+        assert _ray_signatures(scrambled(fan, rng)) == signatures
+        perm = list(range(len(fan.rays)))
+        rng.shuffle(perm)
+        rays = [None] * len(perm)
+        for i, r in enumerate(fan.rays):
+            rays[perm[i]] = r
+        relabelled = Fan(fan.dim, rays, [[perm[i] for i in c] for c in fan.maximal_cones])
+        moved = _ray_signatures(relabelled)
+        assert [moved[perm[i]] for i in range(len(perm))] == signatures
+
+
+def test_matching_orders_follow_permutations_order():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rays = tuple(sorted(rng.sample(range(12), n)))
+        signatures = [rng.randrange(3) for _ in range(12)]
+        want = [signatures[r] for r in rng.sample(rays, n)]
+        if rng.random() < 0.2:
+            want[0] = 3
+        expected = [
+            p for p in itertools.permutations(rays) if all(signatures[r] == w for r, w in zip(p, want))
+        ]
+        assert list(_matching_orders(rays, want, signatures)) == expected
+
+
+def test_ray_signatures_tell_hirzebruch_surfaces_apart():
+    multisets = {a: Counter(_ray_signatures(hirzebruch(a))) for a in range(-5, 6)}
+    for a, b in itertools.combinations(range(6), 2):
+        assert multisets[a] != multisets[b], (a, b)
+    for a in range(1, 6):
+        assert multisets[a] == multisets[-a]
+    # F_2 and F_4 are diffeomorphic, but their wall relations differ
+    assert multisets[2] != multisets[4]
+
+
+def test_fans_share_their_cone_objects():
+    a = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
+    b = Fan(2, [(0, 1), (-1, -1), (1, 0)], [(1, 2), (0, 2), (0, 1)])
+    assert all(x is y for x, y in zip(a.maximal_cones, b.maximal_cones))
+    assert a.maximal_cones[0] is projective_fan(2).maximal_cones[0]
+    # a Cone built directly is equal to, hashes like and orders like the shared one
+    fresh = Cone((1, 0))
+    assert fresh == a.maximal_cones[0] and hash(fresh) == hash(a.maximal_cones[0])
+    assert Cone((0, 1)) < Cone((0, 2)) < Cone((1, 2))
+    assert sorted([Cone((1, 2)), Cone((0, 2)), fresh]) == list(a.maximal_cones)
+    assert fresh in a.maximal_cones and Cone((0, 3)) not in a.maximal_cones
+    assert blowup_at_cone(a, fresh) == blowup_at_cone(a, (0, 1)) == blowup_at_cone(a, a.maximal_cones[0])
+
+
+def test_isomorphic_under_python_O():
+    code = (
+        "import json, random\n"
+        "from fandec.fankit import Fan, hirzebruch, isomorphic, product, projective_fan\n"
+        "from fandec.lattice import random_unimodular\n"
+        "rng = random.Random(35)\n"
+        "def moved(f):\n"
+        "    u = random_unimodular(f.dim, rng, max_entry=4)\n"
+        "    return Fan(f.dim, [u.apply(r) for r in f.rays], [c.ray_indices for c in f.maximal_cones])\n"
+        "cp1, f1, f2 = projective_fan(1), hirzebruch(1), hirzebruch(2)\n"
+        "pairs = [(f2, hirzebruch(4)), (f1, hirzebruch(-1)), (moved(product(cp1, f1)), moved(product(f1, cp1))),\n"
+        "         (moved(product(f1, f1)), moved(product(f1, f2))), (projective_fan(3), moved(projective_fan(3)))]\n"
+        "out = [isomorphic(a, b) for a, b in pairs]\n"
+        "print(json.dumps([None if m is None else [list(r) for r in m.entries] for m in out]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    results = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    assert results[0] == results[1]
+    assert [m is not None for m in results[0]] == [False, True, True, False, True]

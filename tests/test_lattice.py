@@ -270,3 +270,18 @@ def test_matrix_basics():
         IntegerMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(DomainError):
         IntegerMatrix.from_rows([])
+
+
+def test_matrix_entry_types():
+    class Count(int):
+        pass
+
+    m = IntegerMatrix([[Count(2), 1], [0, Count(-1)]])
+    assert m.entries == ((2, 1), (0, -1)) and determinant(m) == -2
+    for bad in (True, False, 1.0, 2.5, "1", None):
+        with pytest.raises(DomainError) as err:
+            IntegerMatrix([[1, bad], [0, 1]])
+        assert str(err.value) == f"matrix entries must be integers, got {bad!r}"
+        with pytest.raises(DomainError) as err:
+            IntegerMatrix.from_columns([(bad, 0), (0, 1)])
+        assert str(err.value) == f"matrix entries must be integers, got {bad!r}"
