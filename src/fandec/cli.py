@@ -29,8 +29,10 @@ from .fankit import (
 from .polys import Poly
 from .recovery import bundle, realize, recover
 from .squarezero import (
+    _enumeration_states,
     closed_count_mod2,
     count_square_zero,
+    factor_poincare,
     normalize,
     parse_product,
     poincare,
@@ -177,6 +179,7 @@ def _cmd_mf_profile(args) -> int:
 
 def _cmd_mf_count(args) -> int:
     pm = parse_product(args.descriptor)
+    _enumeration_states(sum(factor_poincare(f)[1] for f in pm.factors), args.mod)
     prof = product_manifold_profile(pm)
     count = count_square_zero(prof, args.mod, threads=args.threads)
     closed: Optional[int] = None

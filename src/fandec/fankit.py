@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ from .lattice import (
 # Cap on intermediate generator counts in the pairwise-face check; honest
 # desk-scale fans stay in the tens, so hitting this means pathological input.
 PAIRWISE_RAY_BUDGET = 20000
+# Cap on the ray subsets the strong-convexity check of a non-simplicial cone
+# tries; a 14-ray cone in dimension 8 needs 14 898.
+CIRCUIT_BUDGET = 20000
 
 
 @dataclass(frozen=True, order=True)
@@ -152,10 +156,13 @@ class Fan:
             raise DomainError("fans must have at least one maximal cone")
 
         cone_list = sorted(cones)
-        for a, b in itertools.combinations(cone_list, 2):
-            sa, sb = set(a), set(b)
-            if sa <= sb or sb <= sa:
-                raise DomainError(f"maximal cone {a} is contained in maximal cone {b}")
+        # Distinct cones of one size never contain one another, and in a
+        # full-dimensional simplicial fan every cone has dim rays.
+        if len({len(c) for c in cone_list}) > 1:
+            for a, b in itertools.combinations(cone_list, 2):
+                small, big = sorted((a, b), key=len)
+                if len(small) < len(big) and set(small) <= set(big):
+                    raise DomainError(f"maximal cone {small} is contained in maximal cone {big}")
         used = {i for c in cone_list for i in c}
         for i in range(len(canonical)):
             if i not in used:
@@ -236,24 +243,25 @@ def _cone_is_strongly_convex(fan: Fan, cone: Cone) -> bool:
     gens = fan.cone_rays(cone)
     if rank(IntegerMatrix.from_columns(gens)) == len(gens):
         return True
-    for size in range(2, min(len(gens), fan.dim + 1) + 1):
+    sizes = range(2, min(len(gens), fan.dim + 1) + 1)
+    needed = sum(math.comb(len(gens), size) for size in sizes)
+    if needed > CIRCUIT_BUDGET:
+        raise BudgetError(
+            f"strong-convexity check needs {needed} ray subsets, "
+            f"over the {CIRCUIT_BUDGET}-subset budget",
+            budget_name="circuit_budget",
+            budget=CIRCUIT_BUDGET,
+            needed=needed,
+        )
+    for size in sizes:
         for subset in itertools.combinations(gens, size):
             mat = IntegerMatrix.from_columns(subset)
             if rank(mat) != size - 1:
                 continue
-            kernel = _one_dim_kernel(mat)
-            if kernel is None:
-                continue
+            (kernel,) = kernel_basis(mat)  # rank size - 1: the kernel is a line
             if all(x > 0 for x in kernel) or all(x < 0 for x in kernel):
                 return False
     return True
-
-
-def _one_dim_kernel(mat: IntegerMatrix) -> Optional[LatticeVector]:
-    basis = kernel_basis(mat)
-    if len(basis) != 1:
-        return None
-    return basis[0]
 
 
 def _cone_halfspaces(
@@ -613,13 +621,16 @@ def reassemble(result: FactorizationResult) -> Fan:
     return Fan(combined.dim, rays, [c.ray_indices for c in combined.maximal_cones])
 
 
-def _cone_coordinates(fan: Fan) -> list[list[LatticeVector]]:
+def _cone_coordinates(
+    fan: Fan, facet_cones: dict[tuple[int, ...], list[int]]
+) -> list[list[LatticeVector]]:
     """Every ray's coordinates in every maximal cone's basis, by wall crossing.
 
     ``coords[ci][r]`` holds ray r in the basis of cone ci, taken in
-    ray-index order.  The fan must pass the gate.  One unimodular inverse
-    gives the coordinates in cone 0; a depth-first walk then crosses walls,
-    which reaches every cone because the adjacency graph is connected.
+    ray-index order.  The fan must pass the gate; ``facet_cones`` is its
+    ``_facet_cones`` map.  One unimodular inverse gives the coordinates in
+    cone 0; a depth-first walk then crosses walls, which reaches every cone
+    because the adjacency graph is connected.
     Crossing from sigma = tau+v to sigma' = tau+v' is one pivot over all
     rays: if v' has coordinates c in sigma's basis, then c_v = +-1 (both
     determinants are +-1), so dividing by c_v is multiplying by it, and a
@@ -627,7 +638,6 @@ def _cone_coordinates(fan: Fan) -> list[list[LatticeVector]]:
     ray w of tau.
     """
     cones = [c.ray_indices for c in fan.maximal_cones]
-    facet_cones = _facet_cones(fan)
     inverse = unimodular_inverse(fan.cone_matrix(fan.maximal_cones[0]))
     coords: list[Optional[list[LatticeVector]]] = [None] * len(cones)
     coords[0] = [inverse.apply(r) for r in fan.rays]
@@ -668,7 +678,7 @@ def _ray_signatures(fan: Fan) -> list[frozenset]:
     """
     cones = [c.ray_indices for c in fan.maximal_cones]
     facet_cones = _facet_cones(fan)
-    coords = _cone_coordinates(fan)
+    coords = _cone_coordinates(fan, facet_cones)
     tallies: list[Counter] = [Counter() for _ in fan.rays]
     for ci, cone in enumerate(cones):
         for p, v in enumerate(cone):

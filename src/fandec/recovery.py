@@ -264,30 +264,21 @@ def _exact_divide(quotient: Poly, kind: FactorKind, times: int) -> Poly:
 def recover_poincare_tail(poly: Poly) -> tuple[int, dict[int, int]]:
     """Split a polynomial as (1+x^2)^n * prod (1+px+x^2)^(m_p0).
 
-    Greedy exact division, p descending from the linear coefficient (the
-    sum of the true p's bounds each of them), then the (1+x^2) power; the
-    quotient must finish at 1.
+    S^4 is the empty sum, (1, p, 1) at p = 0, so one greedy exact division
+    runs p from the linear coefficient (the sum of the true p's bounds each
+    of them) down to 0; the quotient must finish at 1.
     """
     cur = poly_normalize(poly)
-    m_p0: dict[int, int] = {}
-    top_linear = cur[1] if len(cur) > 1 else 0
-    for p in range(top_linear, 0, -1):
-        while True:
-            nxt = poly_div_exact(cur, (1, p, 1))
-            if nxt is None:
-                break
-            m_p0[p] = m_p0.get(p, 0) + 1
+    found: dict[int, int] = {}
+    for p in range(max(cur[1], 0) if len(cur) > 1 else 0, -1, -1):
+        while len(cur) > 2 and (nxt := poly_div_exact(cur, (1, p, 1))) is not None:
+            found[p] = found.get(p, 0) + 1
             cur = nxt
-    n = 0
-    while cur != (1,):
-        nxt = poly_div_exact(cur, (1, 0, 1))
-        if nxt is None:
-            raise InconsistentBundleError(
-                f"poincare remainder {list(cur)} is not a power of the S4 contribution"
-            )
-        n += 1
-        cur = nxt
-    return n, m_p0
+    if cur != (1,):
+        raise InconsistentBundleError(
+            f"poincare remainder {list(cur)} is not a power of the S4 contribution"
+        )
+    return found.pop(0, 0), found
 
 
 def recover(b: InvariantBundle) -> MultiplicityVector:

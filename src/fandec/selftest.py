@@ -54,6 +54,7 @@ from .squarezero import (
     product_manifold_profile,
     profile,
     real_census,
+    summands,
     top_invariants,
 )
 
@@ -345,16 +346,6 @@ def check_invariant_recovery_roundtrip() -> str:
     )
 
 
-def _nf_triple(kind: FactorKind) -> tuple[int, int, int]:
-    if isinstance(kind, PQ):
-        return (kind.p, kind.q, 0)
-    if isinstance(kind, Diag):
-        return (0, 0, kind.r)
-    if isinstance(kind, FourSphere):
-        return (0, 0, 0)
-    raise AssertionError(f"{kind} is not a connected-sum normal form")
-
-
 def check_connected_sum_normal_form() -> str:
     """normalize preserves Euler characteristic, |signature| and spin for
     all p+q+r <= 8, and is idempotent."""
@@ -364,11 +355,11 @@ def check_connected_sum_normal_form() -> str:
             for r in range(0, 9 - p - q):
                 before = top_invariants(p, q, r)
                 nf = normalize(p, q, r)
-                after = top_invariants(*_nf_triple(nf))
+                after = top_invariants(*summands(nf))
                 _expect(before.chi == after.chi, f"({p},{q},{r}) chi changed")
                 _expect(abs(before.sigma) == abs(after.sigma), f"({p},{q},{r}) |sigma| changed")
                 _expect(before.spin == after.spin, f"({p},{q},{r}) spin changed")
-                _expect(normalize(*_nf_triple(nf)) == nf, f"({p},{q},{r}) not idempotent")
+                _expect(normalize(*summands(nf)) == nf, f"({p},{q},{r}) not idempotent")
                 checked += 1
     _expect(normalize(1, 0, 1) == PQ(2, 1), "spot value (1,0,1)")
     return f"{checked} triples preserve (chi, |sigma|, spin); normalize idempotent"

@@ -1,11 +1,14 @@
 """Square-zero cohomology data for the four-dimensional factor classes.
 
-The recognized factors are CP^1 (``ProjLine``), the connected sums
-p CP^2 # q CP^2-bar (``PQ(p, q)``), the connected sums r(CP^1 x CP^1)
-(``Diag(r)``), and S^4 (``FourSphere``).  Each factor carries a quadratic
-profile: a degree-2 basis, a degree-4 basis, and the table of basis-pair
-products read off the cohomology ring presentation.  The square of
-u = sum c_i x_i is evaluated through the table as
+The recognized factors are CP^1 (``ProjLine``) and the simply connected
+4-manifolds with a torus action, which by Orlik-Raymond are the connected
+sums p CP^2 # q CP^2-bar # r (CP^1 x CP^1): ``PQ(p, q)`` is (p, q, 0),
+``Diag(r)`` is (0, 0, r) and ``FourSphere`` is the empty sum (0, 0, 0).
+``summands`` reads the triple, and every per-factor invariant below is
+computed from it.  Each factor carries a quadratic profile: a degree-2
+basis, a degree-4 basis, and the table of basis-pair products read off the
+cohomology ring presentation.  The square of u = sum c_i x_i is evaluated
+through the table as
 
     u^2 = sum over pairs i <= j of c_i * c_j * products[(i, j)],
 
@@ -127,9 +130,7 @@ class ProductManifold:
     factors: tuple[FactorKind, ...]
 
     def __init__(self, factors: Iterable[FactorKind] = ()):
-        fs = tuple(sorted(factors, key=kind_sort_key))
-        for f in fs:
-            kind_sort_key(f)
+        fs = tuple(sorted(factors, key=kind_sort_key))  # the key rejects non-kinds
         object.__setattr__(self, "factors", fs)
 
     @classmethod
@@ -209,33 +210,36 @@ class QuadraticProfile:
         return tuple(out)
 
 
+def summands(kind: FactorKind) -> tuple[int, int, int]:
+    """The connected sum (p, q, r) a four-dimensional kind stands for.
+
+    p CP^2 # q CP^2-bar # r (CP^1 x CP^1), with S^4 the empty sum; the
+    inverse of ``normalize``.  CP^1 is not a connected sum of these.
+    """
+    if isinstance(kind, PQ):
+        return (kind.p, kind.q, 0)
+    if isinstance(kind, Diag):
+        return (0, 0, kind.r)
+    if isinstance(kind, FourSphere):
+        return (0, 0, 0)
+    raise DomainError(f"not a four-dimensional factor kind: {kind!r}")
+
+
 def profile(kind: FactorKind) -> QuadraticProfile:
-    """Quadratic profile of a single factor, from its ring presentation."""
+    """Quadratic profile of a single factor, from its ring presentation: the
+    summands (p, q, r) give x1..xp, y1..yq, z1..zr, w1..wr with x_i^2 = 1,
+    y_j^2 = -1, z_k w_k = 1 and every other product 0, in degree 4 of rank 1."""
     if isinstance(kind, ProjLine):
         return QuadraticProfile(labels=("x",), b4=0, products={(0, 0): ()})
-    if isinstance(kind, PQ):
-        p, q = kind.p, kind.q
-        labels = tuple(f"x{i+1}" for i in range(p)) + tuple(f"y{j+1}" for j in range(q))
-        b2 = p + q
-        products = {}
-        for i in range(b2):
-            for j in range(i, b2):
-                if i == j:
-                    products[(i, j)] = (1,) if i < p else (-1,)
-                else:
-                    products[(i, j)] = (0,)
-        return QuadraticProfile(labels=labels, b4=1, products=products)
-    if isinstance(kind, Diag):
-        r = kind.r
-        labels = tuple(f"z{i+1}" for i in range(r)) + tuple(f"w{i+1}" for i in range(r))
-        products = {}
-        for i in range(2 * r):
-            for j in range(i, 2 * r):
-                products[(i, j)] = (1,) if j == i + r else (0,)
-        return QuadraticProfile(labels=labels, b4=1, products=products)
-    if isinstance(kind, FourSphere):
-        return QuadraticProfile(labels=(), b4=1, products={})
-    raise DomainError(f"not a factor kind: {kind!r}")
+    p, q, r = summands(kind)
+    labels = tuple(f"{x}{i + 1}" for x, n in zip("xyzw", (p, q, r, r)) for i in range(n))
+    b2 = len(labels)
+    products = {(i, j): (0,) for i in range(b2) for j in range(i, b2)}
+    for i in range(p + q):
+        products[(i, i)] = (1,) if i < p else (-1,)
+    for k in range(p + q, p + q + r):
+        products[(k, k + r)] = (1,)
+    return QuadraticProfile(labels=labels, b4=1, products=products)
 
 
 def product_profile(profiles: list[QuadraticProfile]) -> QuadraticProfile:
@@ -308,6 +312,25 @@ def _count_chunk(b2, b4, pairs, modulus, start, stop) -> int:
     return int(np.count_nonzero(ok))
 
 
+def _enumeration_states(b2: int, modulus: int, budget: int = STATE_BUDGET) -> int:
+    """modulus**b2, the states of a count over Z/modulus, checked against the
+    budget.  It needs b2 alone, so a caller can refuse before it builds the
+    profile, whose size grows as b2^4."""
+    if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
+        raise DomainError(f"modulus must be an integer >= 2, got {modulus!r}")
+    states = modulus**b2
+    if states > budget:
+        # Python refuses to write out ints past a few thousand digits.
+        shown = states if states.bit_length() < 10_000 else f"{modulus}^{b2}"
+        raise BudgetError(
+            f"enumeration needs {shown} states, over the {budget}-state budget",
+            budget_name="enumeration_states",
+            budget=budget,
+            needed=states,
+        )
+    return states
+
+
 def count_square_zero(
     p: QuadraticProfile, modulus: int, *, budget: int = STATE_BUDGET, threads: int = 1
 ) -> int:
@@ -318,17 +341,8 @@ def count_square_zero(
     parallelism is sound.  Exceeding the state budget raises, it never
     truncates.
     """
-    if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
-        raise DomainError(f"modulus must be an integer >= 2, got {modulus!r}")
     b2 = p.b2
-    states = modulus**b2
-    if states > budget:
-        raise BudgetError(
-            f"enumeration needs {states} states, over the {budget}-state budget",
-            budget_name="enumeration_states",
-            budget=budget,
-            needed=states,
-        )
+    states = _enumeration_states(b2, modulus, budget)
     if b2 == 0:
         return 0
     import numpy as np  # the enumeration backend, loaded only when counting
@@ -361,19 +375,17 @@ def count_square_zero(
 def closed_count_mod2(kind: FactorKind) -> int:
     """Closed forms for the mod-2 square-zero counts, per factor.
 
-    The PQ form 2^(p+q-1) - 1 counts nonzero even-weight vectors; it is
-    validated against count_square_zero in the tests before anything
-    downstream leans on it.
+    Mod 2 a square equals its coefficient, so an odd form (p + q >= 1) is
+    isotropic on exactly half the vectors, and r hyperbolic planes alone on
+    2^(2r-1) + 2^(r-1), the zero vector included; the tests check both
+    against count_square_zero.
     """
     if isinstance(kind, ProjLine):
         return 1
-    if isinstance(kind, PQ):
-        return 2 ** (kind.p + kind.q - 1) - 1
-    if isinstance(kind, Diag):
-        return 2 ** (2 * kind.r - 1) + 2 ** (kind.r - 1) - 1
-    if isinstance(kind, FourSphere):
-        return 0
-    raise DomainError(f"not a factor kind: {kind!r}")
+    p, q, r = summands(kind)
+    if p + q:
+        return 2 ** (p + q + 2 * r - 1) - 1
+    return 2 ** (2 * r - 1) + 2 ** (r - 1) - 1 if r else 0
 
 
 # --- real census ------------------------------------------------------------
@@ -452,20 +464,14 @@ class RealCensus:
 def factor_census(kind: FactorKind) -> list[Component]:
     """Component descriptors of one factor's real square-zero set.
 
-    The sphere product S^(p-1) x S^(q-1) x R splits when a sphere factor
-    has dimension zero: one S^0 doubles the component count, two make four
-    lines.
+    The summands (p, q, r) have the real form of PQ(p + r, q + r), and
+    S^(p+r-1) x S^(q+r-1) x R splits when a sphere factor has dimension
+    zero: one S^0 doubles the component count, two make four lines.
     """
     if isinstance(kind, ProjLine):
         return [LINE, LINE]
-    if isinstance(kind, PQ):
-        p, q = kind.p, kind.q
-    elif isinstance(kind, Diag):
-        p = q = kind.r  # DIAG(r) has the real form of PQ(r, r)
-    elif isinstance(kind, FourSphere):
-        return []
-    else:
-        raise DomainError(f"not a factor kind: {kind!r}")
+    p, q, r = summands(kind)
+    p, q = p + r, q + r
     if q == 0:
         return []
     if p == 1 and q == 1:
@@ -489,13 +495,8 @@ def real_census(pm: ProductManifold) -> RealCensus:
 def factor_poincare(kind: FactorKind) -> Poly:
     if isinstance(kind, ProjLine):
         return (1, 1)
-    if isinstance(kind, PQ):
-        return (1, kind.p + kind.q, 1)
-    if isinstance(kind, Diag):
-        return (1, 2 * kind.r, 1)
-    if isinstance(kind, FourSphere):
-        return (1, 0, 1)
-    raise DomainError(f"not a factor kind: {kind!r}")
+    p, q, r = summands(kind)
+    return (1, p + q + 2 * r, 1)
 
 
 def poincare(pm: ProductManifold) -> Poly:

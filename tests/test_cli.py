@@ -193,6 +193,49 @@ def test_exit_status_budget_error(capsys):
     assert "budget" in err and "enumeration" in err
 
 
+def test_mf_count_refuses_before_building_the_profile(capsys, monkeypatch):
+    import fandec.cli
+
+    def no_profile(pm):
+        raise AssertionError("the profile was built for an oversize count")
+
+    monkeypatch.setattr(fandec.cli, "product_manifold_profile", no_profile)
+    status, out, err = invoke(capsys, "mf-count", "CP1^60", "--mod", "2")
+    assert (status, out) == (3, "")
+    assert err == (
+        "budget exceeded: enumeration needs 1152921504606846976 states, "
+        "over the 20000000-state budget\n"
+    )
+    # b2 = 1 + (1000 + 0) + 2*3 + 0 is the sum of the linear Poincare terms
+    status, _, err = invoke(capsys, "mf-count", "CP1 * PQ(1000,0) * DIAG(3) * S4", "--mod", "2")
+    assert status == 3 and f"needs {2**1007} states" in err
+    # a bad modulus still exits 1 before any budget refusal
+    status, _, err = invoke(capsys, "mf-count", "CP1^60", "--mod", "1")
+    assert status == 1 and err == "domain error: modulus must be an integer >= 2, got 1\n"
+    # counts too long to write out in full are written as a power
+    status, _, err = invoke(capsys, "mf-count", "CP1^20000", "--mod", "3")
+    assert status == 3 and "enumeration needs 3^20000 states" in err
+
+
+def test_fan_validate_refuses_an_oversize_circuit_search(capsys, tmp_path):
+    def unit(dim, *support):
+        return tuple(1 if i in support else 0 for i in range(dim))
+
+    rays = [unit(8, i) for i in range(8)] + [unit(8, i, i + 1) for i in range(7)]
+    rays += [unit(8, 0, 1, 2), unit(8, 3, 4, 5), unit(8, 5, 6, 7)]
+    path = tmp_path / "fat.json"
+    path.write_text(fan_to_json(Fan(8, rays, [range(18)])), encoding="utf-8")
+    status, out, err = invoke(capsys, "fan-validate", str(path))
+    assert (status, out) == (3, "")
+    assert err.startswith("budget exceeded: strong-convexity check needs ")
+
+    rays = [unit(6, i) for i in range(6)] + [unit(6, i, i + 1) for i in range(4)]
+    path.write_text(fan_to_json(Fan(6, rays, [range(10)])), encoding="utf-8")
+    status, out, _ = invoke(capsys, "fan-validate", str(path), "--json")
+    assert status == 0
+    assert json.loads(out)["checks"]["strongly_convex"] is True
+
+
 def test_exit_status_missing_file(capsys):
     status, _, err = invoke(capsys, "fan-validate", "/no/such/fan.json")
     assert status == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import json
 import os
 import random
@@ -8,9 +9,11 @@ from collections import Counter
 
 import pytest
 
-from fandec.errors import DomainError, ParseError
+from fandec.errors import BudgetError, DomainError, ParseError
 from fandec.fankit import (
+    CIRCUIT_BUDGET,
     _cone_coordinates,
+    _facet_cones,
     _matching_orders,
     _ray_signatures,
     _require_smooth_complete,
@@ -140,6 +143,53 @@ def test_fan_constructor_rejects_bad_structure():
         Fan(9, [(1,) + (0,) * 8], [(0,)])  # dimension bound
     with pytest.raises(DomainError):
         Fan(1, [(10**6 + 1,)], [(0,)])  # entry bound
+
+
+def test_containment_names_the_smaller_cone_first():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    # the larger cone sorts first here, the smaller one in the next case
+    with pytest.raises(DomainError, match=r"^maximal cone \(2, 3\) is contained in maximal cone \(0, 2, 3\)$"):
+        Fan(3, rays, [(1, 2), (0, 2, 3), (2, 3)])
+    with pytest.raises(DomainError, match=r"^maximal cone \(0, 1\) is contained in maximal cone \(0, 1, 3\)$"):
+        Fan(3, rays, [(0, 1, 3), (0, 1), (1, 2), (2, 3)])
+    # the first containing pair in sorted order is the one reported
+    with pytest.raises(DomainError, match=r"^maximal cone \(0,\) is contained in maximal cone \(0, 1\)$"):
+        Fan(3, rays, [(0,), (0, 1), (1, 2, 3), (2,)])
+    # cones of one size are never compared, and mixed sizes without containment pass
+    assert len(Fan(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).maximal_cones) == 4
+    assert len(Fan(3, rays, [(0, 1, 2), (1, 3), (0, 3), (2, 3)]).maximal_cones) == 4
+
+
+def single_cone(dim, rays):
+    return Fan(dim, rays, [tuple(range(len(rays)))])
+
+
+def unit(dim, *support):
+    return tuple(1 if i in support else 0 for i in range(dim))
+
+
+def test_circuit_search_has_a_budget():
+    # 18 rays in dimension 8: sum of C(18, s), s = 2..9, subsets to try
+    rays = [unit(8, i) for i in range(8)] + [unit(8, i, i + 1) for i in range(7)]
+    rays += [unit(8, 0, 1, 2), unit(8, 3, 4, 5), unit(8, 5, 6, 7)]
+    needed = sum(math.comb(18, s) for s in range(2, 10))
+    with pytest.raises(BudgetError) as err:
+        validate(single_cone(8, rays))
+    assert (err.value.budget_name, err.value.budget, err.value.needed) == (
+        "circuit_budget",
+        CIRCUIT_BUDGET,
+        needed,
+    )
+    assert CIRCUIT_BUDGET == 20000
+    # 14 rays in dimension 8 need 14 898 subsets and stay inside the budget
+    assert sum(math.comb(14, s) for s in range(2, 10)) == 14898 <= CIRCUIT_BUDGET
+    # below the budget the circuit search still decides, both ways
+    rays = [unit(6, i) for i in range(6)] + [unit(6, i, i + 1) for i in range(4)]
+    assert validate(single_cone(6, rays)).strongly_convex
+    rays[-1] = tuple(-x for x in rays[0])
+    assert not validate(single_cone(6, rays)).strongly_convex
+    # simplicial cones take the rank fast path, whatever their size
+    assert validate(single_cone(8, [unit(8, i) for i in range(8)])).strongly_convex
 
 
 def test_validate_flags():
@@ -495,7 +545,7 @@ def test_cone_coordinates_match_the_inverse_of_each_cone():
         FOLD3,
     ]
     for fan in fans + [scrambled(f, rng) for f in fans]:
-        coords = _cone_coordinates(fan)
+        coords = _cone_coordinates(fan, _facet_cones(fan))
         assert len(coords) == len(fan.maximal_cones)
         for cone, rows in zip(fan.maximal_cones, coords):
             inverse = unimodular_inverse(fan.cone_matrix(cone))

@@ -192,6 +192,31 @@ def test_poincare_tail_rejects_leftovers():
     with pytest.raises(InconsistentBundleError):
         recover_poincare_tail((1, 0, 0, 1))  # 1 + x^3 has no such factorization
     assert recover_poincare_tail((1,)) == (0, {})
+    # The remainder named is what is left after every (1 + x^2) that divides.
+    with pytest.raises(InconsistentBundleError, match=r"remainder \[1, 1\] is not"):
+        recover_poincare_tail(poly_mul((1, 0, 1), (1, 1)))
+    with pytest.raises(InconsistentBundleError, match=r"remainder \[1, 2, 2\] is not"):
+        recover_poincare_tail(poly_mul((1, 2, 1), (1, 2, 2)))
+
+
+def test_poincare_tail_of_sphere_powers_and_negative_linear_terms():
+    for n in range(12):
+        assert recover_poincare_tail(poly_pow((1, 0, 1), n)) == (n, {})
+    assert recover_poincare_tail(poly_mul(poly_pow((1, 0, 1), 3), (1, 4, 1))) == (3, {4: 1})
+    # A negative linear coefficient admits no PQ(p, 0) factor, but (1 + x^2)
+    # still divides out before the remainder is reported.
+    with pytest.raises(InconsistentBundleError, match=r"remainder \[1, -1, 1\] is not"):
+        recover_poincare_tail(poly_mul((1, 0, 1), (1, -1, 1)))
+    with pytest.raises(InconsistentBundleError, match=r"remainder \[1, -2, 1\] is not"):
+        recover_poincare_tail((1, -2, 1))
+
+
+def test_zero_poincare_polynomial_is_rejected_not_looped_on():
+    with pytest.raises(InconsistentBundleError, match=r"remainder \[0\] is not"):
+        recover_poincare_tail((0, 0, 0))
+    empty = bundle(ProductManifold())
+    with pytest.raises(InconsistentBundleError):
+        recover(_tampered(empty, poincare_poly=(0,)))
 
 
 def _tampered(b: InvariantBundle, **changes) -> InvariantBundle:

@@ -17,12 +17,14 @@ from fandec.squarezero import (
     component_label,
     count_square_zero,
     factor_census,
+    factor_poincare,
     normalize,
     parse_product,
     poincare,
     product_manifold_profile,
     profile,
     real_census,
+    summands,
     top_invariants,
 )
 
@@ -288,6 +290,100 @@ def test_top_invariants_and_normalize():
         normalize(-1, 0, 0)
     with pytest.raises(DomainError):
         top_invariants(0, -2, 1)
+
+
+# Per-kind oracles: each factor kind's invariants written out by its own
+# branch, as the library computed them before it read the summands (p, q, r).
+
+
+def oracle_profile(kind) -> QuadraticProfile:
+    if isinstance(kind, ProjLine):
+        return QuadraticProfile(labels=("x",), b4=0, products={(0, 0): ()})
+    if isinstance(kind, PQ):
+        p, q = kind.p, kind.q
+        labels = tuple(f"x{i+1}" for i in range(p)) + tuple(f"y{j+1}" for j in range(q))
+        products = {}
+        for i in range(p + q):
+            for j in range(i, p + q):
+                if i == j:
+                    products[(i, j)] = (1,) if i < p else (-1,)
+                else:
+                    products[(i, j)] = (0,)
+        return QuadraticProfile(labels=labels, b4=1, products=products)
+    if isinstance(kind, Diag):
+        r = kind.r
+        labels = tuple(f"z{i+1}" for i in range(r)) + tuple(f"w{i+1}" for i in range(r))
+        products = {}
+        for i in range(2 * r):
+            for j in range(i, 2 * r):
+                products[(i, j)] = (1,) if j == i + r else (0,)
+        return QuadraticProfile(labels=labels, b4=1, products=products)
+    assert isinstance(kind, FourSphere)
+    return QuadraticProfile(labels=(), b4=1, products={})
+
+
+def oracle_census(kind) -> list:
+    if isinstance(kind, ProjLine):
+        return [LINE, LINE]
+    if isinstance(kind, FourSphere):
+        return []
+    p, q = (kind.p, kind.q) if isinstance(kind, PQ) else (kind.r, kind.r)
+    if q == 0:
+        return []
+    if p == 1 and q == 1:
+        return [LINE] * 4
+    if q == 1:
+        return [(0, p - 1)] * 2
+    return [(q - 1, p - 1)]
+
+
+def oracle_poincare(kind) -> tuple:
+    if isinstance(kind, ProjLine):
+        return (1, 1)
+    if isinstance(kind, PQ):
+        return (1, kind.p + kind.q, 1)
+    if isinstance(kind, Diag):
+        return (1, 2 * kind.r, 1)
+    return (1, 0, 1)
+
+
+def oracle_closed_count_mod2(kind) -> int:
+    if isinstance(kind, ProjLine):
+        return 1
+    if isinstance(kind, PQ):
+        return 2 ** (kind.p + kind.q - 1) - 1
+    if isinstance(kind, Diag):
+        return 2 ** (2 * kind.r - 1) + 2 ** (kind.r - 1) - 1
+    return 0
+
+
+ORACLE_KINDS = (
+    [ProjLine(), FourSphere()]
+    + [PQ(p, q) for p in range(1, 13) for q in range(p + 1)]
+    + [Diag(r) for r in range(1, 13)]
+)
+
+
+def test_invariants_read_from_the_summands_match_the_per_kind_oracles():
+    for kind in ORACLE_KINDS:
+        got, want = profile(kind), oracle_profile(kind)
+        assert (got.labels, got.b4, got.products) == (want.labels, want.b4, want.products), kind
+        assert factor_census(kind) == oracle_census(kind), kind
+        assert factor_poincare(kind) == oracle_poincare(kind), kind
+        count = closed_count_mod2(kind)
+        assert type(count) is int and count == oracle_closed_count_mod2(kind), kind
+
+
+def test_summands_invert_normalize():
+    forms = {normalize(p, q, r) for p in range(9) for q in range(9 - p) for r in range(9 - p - q)}
+    for kind in forms:
+        assert normalize(*summands(kind)) == kind
+    assert summands(PQ(3, 1)) == (3, 1, 0)
+    assert summands(Diag(2)) == (0, 0, 2)
+    assert summands(FourSphere()) == (0, 0, 0)
+    for not_a_sum in (ProjLine(), "CP1", (1, 0, 0)):
+        with pytest.raises(DomainError):
+            summands(not_a_sum)
 
 
 def test_parse_product_round_trip():
