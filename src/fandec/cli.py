@@ -50,7 +50,20 @@ def _emit_json(payload: object) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _writable(poly: Poly) -> Poly:
+    """poly, unless a coefficient has more digits than Python will write out
+    as text (``sys.get_int_max_str_digits``), in print and JSON alike."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(abs(c) >= 10**limit for c in poly):
+        raise DomainError(
+            f"a Poincare coefficient has more than {limit} digits, "
+            "the interpreter's limit for writing an integer as text"
+        )
+    return poly
+
+
 def _poly_text(poly: Poly) -> str:
+    _writable(poly)
     terms = []
     for k, c in enumerate(poly):
         if c == 0:
@@ -216,7 +229,7 @@ def _cmd_mf_poincare(args) -> int:
     pm = parse_product(args.descriptor)
     poly = poincare(pm)
     if args.json:
-        _emit_json({"descriptor": pm.descriptor(), "coefficients": list(poly)})
+        _emit_json({"descriptor": pm.descriptor(), "coefficients": list(_writable(poly))})
         return 0
     print(_poly_text(poly))
     return 0
@@ -245,6 +258,7 @@ def _cmd_mf_normalize(args) -> int:
 def _cmd_recover(args) -> int:
     pm = parse_product(args.descriptor)
     b = bundle(pm)
+    _writable(b.poincare_poly)  # both reports print it, so refuse before recovering
     v = recover(b)
     verdict = "OK" if realize(v).factors == pm.factors else "FAIL"
     if args.json:
@@ -307,7 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mf-count", _cmd_mf_count, "count square-zero classes of a product descriptor")
     p.add_argument("descriptor")
     p.add_argument("--mod", type=int, required=True, help="modulus (>= 2)")
-    p.add_argument("--threads", type=int, default=1, help="parallel enumeration lanes")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="parallel enumeration lanes; descriptors are counted by strata, not enumerated",
+    )
 
     p = add("mf-census", _cmd_mf_census, "real square-zero component census of a product")
     p.add_argument("descriptor")

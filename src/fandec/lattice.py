@@ -41,10 +41,6 @@ def as_vector(coords: Iterable[int]) -> LatticeVector:
     return v
 
 
-def is_zero(v: LatticeVector) -> bool:
-    return all(x == 0 for x in v)
-
-
 def content(v: LatticeVector) -> int:
     """gcd of the entries (0 for the zero vector)."""
     g = 0

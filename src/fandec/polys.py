@@ -39,13 +39,6 @@ def poly_pow(a: Poly, k: int) -> Poly:
     return out
 
 
-def poly_eval(a: Poly, x: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
 def poly_div_exact(num: Poly, den: Poly) -> Optional[Poly]:
     """Quotient num/den over Z if the division is exact, else None.
 

@@ -16,10 +16,31 @@ each unordered pair contributing once, so over Z/m the square-zero
 condition is exactly the presented-ring condition (for the diagonal class,
 "c_1 d_1 + ... + c_r d_r = 0").
 
-``count_square_zero`` enumerates all coefficient vectors over Z/m in
-odometer order (last coordinate fastest) under a hard state budget;
-``closed_count_mod2`` is the independent closed-form route the tests play
-against it.
+``count_square_zero`` has two routes, both behind the same state budget.
+A profile from ``product_manifold_profile`` knows its factor kinds, and
+its count is read off per-factor strata.  A product class u = (x_f) has
+u^2 = sum_f Q_f(x_f) on the factors' own blocks plus x_f (x) x_g on one
+tensor block per pair f < g, so u^2 = 0 iff every Q_f(x_f) = 0 and
+d_f * d_g = 0 (mod m) for f != g, where d_f Z/m is the ideal the entries
+of x_f generate (d_f = m for x_f = 0).  Hence
+
+    count + 1 = sum over (d_f) with d_f * d_g = 0 (mod m), f != g,
+                of prod_f N_f(d_f),
+
+with N_f(d) the number of x_f of content exactly d Z/m and Q_f(x_f) = 0.
+Q_f is p squares, q negative squares and r hyperbolic planes z w (zero
+for CP^1), so the number of zeros of Q_f over Z/k is the value at 0 of a
+cyclic convolution of per-coordinate value counts (Lidl-Niederreiter,
+*Finite Fields*, 6.3); writing x_f = d u turns it into the vectors
+divisible by d, and Moebius inversion over the divisors of m gives N_f.
+A DP over the factors, keyed by the gcd of the contents used so far,
+sums the products.
+
+Any other profile, including ``profile(kind)`` and hand-built tables, is
+counted by enumerating all coefficient vectors over Z/m in numpy, in
+odometer order (last coordinate fastest).  The enumerator is the only
+route for an arbitrary table, and the tests use it as the reference for
+the strata; ``closed_count_mod2`` is a third, closed-form route.
 """
 
 from __future__ import annotations
@@ -27,8 +48,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from dataclasses import dataclass, field
+from math import gcd, isqrt
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BudgetError, DomainError, ParseError
 from .polys import Poly, poly_mul
@@ -172,12 +194,15 @@ class QuadraticProfile:
 
     products maps every pair (i, j) with i <= j to the degree-4 coordinate
     vector of the ring product of basis elements i and j; the table must
-    be complete.
+    be complete.  kinds, when set, names the factors the table is the
+    product profile of, in order; count_square_zero then counts by
+    strata.  Equality, hashing and validation ignore it.
     """
 
     labels: tuple[str, ...]
     b4: int
     products: dict[tuple[int, int], tuple[int, ...]]
+    kinds: Optional[tuple[FactorKind, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         b2 = len(self.labels)
@@ -331,20 +356,126 @@ def _enumeration_states(b2: int, modulus: int, budget: int = STATE_BUDGET) -> in
     return states
 
 
+# --- counting by strata -----------------------------------------------------
+
+
+def _divisors(m: int) -> list[int]:
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return sorted(set(small + [m // d for d in small]))
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Cyclic convolution over Z/k, k = len(a), of two value-count vectors."""
+    k = len(a)
+    out = [0] * k
+    support = [(t, y) for t, y in enumerate(b) if y]
+    for s, x in enumerate(a):
+        if x:
+            for t, y in support:
+                out[(s + t) % k] += x * y
+    return out
+
+
+def _power(v: list[int], n: int) -> list[int]:
+    """The n-fold cyclic convolution of v, by repeated squaring."""
+    out = [1] + [0] * (len(v) - 1)
+    while n:
+        if n & 1:
+            out = _convolve(out, v)
+        n >>= 1
+        if n:
+            v = _convolve(v, v)
+    return out
+
+
+def _zeros(kind: FactorKind, k: int) -> int:
+    """The number of x over Z/k with Q(x) = 0 (mod k), for the square form Q
+    of one factor: zero on CP^1's one coordinate, else p squares, q
+    negative squares and r hyperbolic planes."""
+    if isinstance(kind, ProjLine):
+        return k
+    p, q, r = summands(kind)
+    if (p + q, r) == (1, 0):
+        # x^2 = 0 iff x is a multiple of the least s with k | s^2.  The budget
+        # lets this one b2 = 1 kind reach moduli in the millions, where the
+        # value counts below would take O(k) time and memory.
+        return k // min(s for s in _divisors(k) if s * s % k == 0)
+    dist = [1] + [0] * (k - 1)
+    if p or q:
+        square = [0] * k
+        for x in range(k):
+            square[x * x % k] += 1
+        negative = [square[-t % k] for t in range(k)]
+        dist = _convolve(_power(square, p), _power(negative, q))
+    if r:
+        # z with gcd(z, k) = g makes z w run over the multiples of g, g times each
+        plane = [0] * k
+        for g, n in Counter(gcd(z, k) for z in range(k)).items():
+            for t in range(0, k, g):
+                plane[t] += n * g
+        dist = _convolve(dist, _power(plane, r))
+    return dist[0]
+
+
+def _strata(kind: FactorKind, m: int, divisors: list[int]) -> dict[int, int]:
+    """N(d) for the divisors d of m: the x over Z/m whose entries generate
+    exactly d Z/m and whose square is zero, where N(d) is nonzero."""
+    b2 = factor_poincare(kind)[1]
+    n: dict[int, int] = {}
+    for d in reversed(divisors):
+        # x = d u with u over Z/(m/d), and Q(x) = d^2 Q(u) is zero mod m
+        # iff Q(u) is zero mod k, which divides m/d.
+        k = m // gcd(m, d * d)
+        divisible = (m // d // k) ** b2 * _zeros(kind, k)
+        n[d] = divisible - sum(c for e, c in n.items() if e % d == 0)
+    return {d: c for d, c in n.items() if c}
+
+
+def _count_by_strata(kinds: Iterable[FactorKind], m: int) -> int:
+    """count + 1 = sum over contents (d_f), pairwise d_f d_g = 0 (mod m), of
+    prod_f N_f(d_f).  d joins the contents chosen so far iff m | d e for
+    each of them, i.e. iff m/d divides their gcd, so the DP keeps that gcd."""
+    divisors = _divisors(m)
+    strata: dict[FactorKind, dict[int, int]] = {}
+    ways = {m: 1}  # gcd of the contents chosen so far (m for none) -> choices
+    for kind in kinds:
+        if kind not in strata:
+            strata[kind] = _strata(kind, m, divisors)
+        step: dict[int, int] = {}
+        for g, w in ways.items():
+            for d, c in strata[kind].items():
+                if g % (m // d) == 0:
+                    key = gcd(g, d)
+                    step[key] = step.get(key, 0) + w * c
+        ways = step
+    return sum(ways.values()) - 1
+
+
 def count_square_zero(
     p: QuadraticProfile, modulus: int, *, budget: int = STATE_BUDGET, threads: int = 1
 ) -> int:
     """Count nonzero coefficient vectors over Z/modulus with square zero.
 
-    Exhaustive enumeration in odometer order (last coordinate fastest),
-    chunked; the chunk partition never changes the result, so --threads
-    parallelism is sound.  Exceeding the state budget raises, it never
-    truncates.
+    The state budget is checked first on both routes: exceeding it raises,
+    it never truncates.  A profile that carries its factor kinds (as
+    ``product_manifold_profile`` returns it) is counted from per-factor
+    strata, in time polynomial in the factors, b2 and the modulus:
+
+        count + 1 = sum over (d_f) with d_f * d_g = 0 (mod m), f != g,
+                    of prod_f N_f(d_f).
+
+    Any other profile is enumerated in odometer order (last coordinate
+    fastest), chunked; the chunk partition never changes the result, so
+    ``threads`` parallelism is sound.  The enumerator stays because it is
+    the only route for an arbitrary product table, and the tests compare
+    the strata against it.
     """
     b2 = p.b2
     states = _enumeration_states(b2, modulus, budget)
     if b2 == 0:
         return 0
+    if p.kinds is not None:
+        return _count_by_strata(p.kinds, modulus)
     import numpy as np  # the enumeration backend, loaded only when counting
     pairs = []
     for (i, j), vec in p.products.items():
@@ -623,5 +754,10 @@ def parse_product(text: str) -> ProductManifold:
 
 
 def product_manifold_profile(pm: ProductManifold) -> QuadraticProfile:
-    """Profile of the whole product, via product_profile."""
-    return product_profile([profile(f) for f in pm.factors])
+    """Profile of the whole product, via product_profile, carrying the
+    factor kinds so that count_square_zero counts it by strata."""
+    prof = product_profile([profile(f) for f in pm.factors])
+    # Every call builds prof afresh, a lone factor's profile included, so
+    # tagging it in place spares a second validation of its table.
+    object.__setattr__(prof, "kinds", pm.factors)
+    return prof

@@ -217,6 +217,24 @@ def test_mf_count_refuses_before_building_the_profile(capsys, monkeypatch):
     assert status == 3 and "enumeration needs 3^20000 states" in err
 
 
+def test_poincare_coefficients_too_long_to_write_out_exit_1(capsys):
+    # (1 + 10^100 x + x^2)^50 has coefficients of about 5000 digits, over
+    # Python's default limit of 4300 for writing an int as text
+    for command in ("mf-poincare", "recover"):
+        for flags in ((), ("--json",)):
+            status, out, err = invoke(capsys, command, f"PQ({10**100},0)^50", *flags)
+            assert (status, out) == (1, ""), (command, flags)
+            assert err == (
+                "domain error: a Poincare coefficient has more than 4300 digits, "
+                "the interpreter's limit for writing an integer as text\n"
+            )
+    # a coefficient of exactly 4300 digits is still written out
+    status, out, _ = invoke(capsys, "mf-poincare", f"PQ({10**4299},0)")
+    assert (status, out) == (0, f"1 + {10**4299}x + x^2\n")
+    status, out, _ = invoke(capsys, "mf-poincare", f"PQ({10**4299},0)", "--json")
+    assert status == 0 and json.loads(out)["coefficients"] == [1, 10**4299, 1]
+
+
 def test_fan_validate_refuses_an_oversize_circuit_search(capsys, tmp_path):
     def unit(dim, *support):
         return tuple(1 if i in support else 0 for i in range(dim))
@@ -277,13 +295,18 @@ def test_selftest_json_single(capsys):
 
 
 def test_numpy_is_not_imported_until_a_count_runs():
+    # mf-count counts descriptors by strata; only enumerating a hand-built
+    # profile loads numpy
     code = (
         "import sys\n"
         "import fandec.cli\n"
+        "from fandec import QuadraticProfile, count_square_zero\n"
         "print('numpy' in sys.modules)\n"
         "fandec.cli.run(['mf-poincare', 'CP1^2'])\n"
         "print('numpy' in sys.modules)\n"
         "fandec.cli.run(['mf-count', 'PQ(2,1)', '--mod', '3'])\n"
+        "print('numpy' in sys.modules)\n"
+        "count_square_zero(QuadraticProfile(('x',), 1, {(0, 0): (1,)}), 3)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -292,4 +315,4 @@ def test_numpy_is_not_imported_until_a_count_runs():
     )
     assert proc.returncode == 0, proc.stderr
     flags = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
-    assert flags == ["False", "False", "True"]
+    assert flags == ["False", "False", "False", "True"]

@@ -7,10 +7,17 @@ from fandec.polys import (
     degree,
     normalize,
     poly_div_exact,
-    poly_eval,
     poly_mul,
     poly_pow,
 )
+
+
+def poly_eval(a, x: int) -> int:
+    """Horner evaluation, the reference the products are checked against."""
+    out = 0
+    for c in reversed(a):
+        out = out * x + c
+    return out
 
 
 def test_normalize_and_degree():
@@ -57,3 +64,5 @@ def test_poly_div_mul_roundtrip_random():
         d = tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 3))) + (1,)
         prod = poly_mul(q, d)
         assert poly_div_exact(prod, d) == q
+        for x in (-2, 3):
+            assert poly_eval(prod, x) == poly_eval(q, x) * poly_eval(d, x)

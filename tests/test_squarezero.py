@@ -1,10 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fandec.errors import BudgetError, DomainError, ParseError
-from fandec.polys import poly_eval
 from fandec.squarezero import (
     LINE,
     Diag,
@@ -168,6 +169,82 @@ def test_count_additivity_over_factors():
             assert total == sum(count_square_zero(profile(f), m) for f in factors)
 
 
+def enumerated(prof: QuadraticProfile) -> QuadraticProfile:
+    """The same table without its factor kinds, so that count_square_zero
+    enumerates it instead of counting by strata."""
+    return replace(prof, kinds=None)
+
+
+STRATA_KINDS = [
+    ProjLine(),
+    FourSphere(),
+    PQ(1, 0),
+    PQ(2, 0),
+    PQ(1, 1),
+    PQ(2, 1),
+    PQ(3, 1),
+    Diag(1),
+    Diag(2),
+]
+
+
+def capped(factors, cap: int) -> list:
+    """The longest prefix of factors whose b2 stays within cap."""
+    out, b2 = [], 0
+    for f in factors:
+        b2 += factor_poincare(f)[1]
+        if b2 > cap:
+            break
+        out.append(f)
+    return out
+
+
+def test_product_profiles_carry_their_kinds():
+    pm = parse_product("PQ(2,1) * CP1^2 * S4")
+    prof = product_manifold_profile(pm)
+    assert prof.kinds == pm.factors
+    assert enumerated(prof) == prof and enumerated(prof).kinds is None
+    assert profile(PQ(2, 1)).kinds is None
+    single = product_manifold_profile(ProductManifold([Diag(2)]))
+    assert single.kinds == (Diag(2),) and single == profile(Diag(2))
+    assert product_manifold_profile(ProductManifold([])).kinds == ()
+
+
+def test_strata_count_matches_the_enumerator_at_composite_moduli():
+    # CP1 x CP1 mod 4 has the 7 classes (a, b) != 0 with ab = 0 (mod 4), one
+    # more than the factor counts 3 + 3: (2, 2) lies on neither factor
+    cp1_squared = product_manifold_profile(parse_product("CP1^2"))
+    assert count_square_zero(cp1_squared, 4) == 7
+    assert count_square_zero(enumerated(cp1_squared), 4) == 7
+    assert 2 * count_square_zero(profile(ProjLine()), 4) == 6
+    rng = random.Random(4689)
+    for m, cap in ((2, 10), (3, 7), (4, 6), (6, 5), (8, 4), (9, 4)):
+        for _ in range(30):
+            factors = capped([rng.choice(STRATA_KINDS) for _ in range(4)], cap)
+            prof = product_manifold_profile(ProductManifold(factors))
+            want = count_square_zero(enumerated(prof), m)
+            assert count_square_zero(prof, m) == want, (factors, m)
+
+
+def test_strata_count_of_one_coordinate_at_large_moduli():
+    # a lone square is counted from the divisors of m, not from value counts
+    for m in range(2, 200):
+        for kind in (ProjLine(), PQ(1, 0)):
+            prof = product_manifold_profile(ProductManifold([kind, FourSphere()]))
+            assert count_square_zero(prof, m) == count_square_zero(profile(kind), m), (kind, m)
+    # x^2 = 0 mod 2^24 iff 2^12 | x
+    square = product_manifold_profile(ProductManifold([PQ(1, 0)]))
+    assert count_square_zero(square, 2**24) == 2**12 - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(STRATA_KINDS), max_size=4), st.integers(2, 12))
+def test_strata_count_property(factors, m):
+    cap = max(b for b in range(1, 13) if m**b <= 5000)
+    prof = product_manifold_profile(ProductManifold(capped(factors, cap)))
+    assert count_square_zero(prof, m) == count_square_zero(enumerated(prof), m)
+
+
 def test_diag_vs_balanced_change_of_variables():
     # over an odd modulus the invertible substitution identifies the two
     # presentations, so the counts agree; over Z/2 they split apart
@@ -181,7 +258,7 @@ def test_diag_vs_balanced_change_of_variables():
 
 
 def test_count_threads_agree():
-    prof = product_manifold_profile(ProductManifold([PQ(2, 2), Diag(2)]))
+    prof = enumerated(product_manifold_profile(ProductManifold([PQ(2, 2), Diag(2)])))
     single = count_square_zero(prof, 3, threads=1)
     assert count_square_zero(prof, 3, threads=4) == single
     assert count_square_zero(prof, 3, threads=3) == single
@@ -275,7 +352,7 @@ def test_poincare_at_one_is_total_rank():
         for f in factors:
             prof = profile(f)
             expected *= 1 + prof.b2 + prof.b4
-        assert poly_eval(poincare(pm), 1) == expected
+        assert sum(poincare(pm)) == expected  # the value at x = 1
 
 
 def test_top_invariants_and_normalize():
