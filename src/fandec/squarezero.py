@@ -432,9 +432,9 @@ def _strata(kind: FactorKind, m: int, divisors: list[int]) -> dict[int, int]:
 
 
 def _count_by_strata(kinds: Iterable[FactorKind], m: int) -> int:
-    """count + 1 = sum over contents (d_f), pairwise d_f d_g = 0 (mod m), of
-    prod_f N_f(d_f).  d joins the contents chosen so far iff m | d e for
-    each of them, i.e. iff m/d divides their gcd, so the DP keeps that gcd."""
+    """The DP over the factors behind count_square_zero's strata sum.  A
+    content d may join those chosen so far iff m | d e for each of them,
+    i.e. iff m/d divides their gcd, so the DP keeps only that gcd."""
     divisors = _divisors(m)
     strata: dict[FactorKind, dict[int, int]] = {}
     ways = {m: 1}  # gcd of the contents chosen so far (m for none) -> choices
