@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError, ParseError
 from .fankit import (
@@ -50,15 +50,24 @@ def _emit_json(payload: object) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _writable(poly: Poly) -> Poly:
-    """poly, unless a coefficient has more digits than Python will write out
-    as text (``sys.get_int_max_str_digits``), in print and JSON alike."""
+def _check_digits(values: Iterable[int], what: str) -> None:
+    """Refuse, as a domain error, an integer with more digits than Python
+    will write out as text (``sys.get_int_max_str_digits``), in print and
+    JSON alike."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and any(abs(c) >= 10**limit for c in poly):
+    if not limit:
+        return
+    bound = 10**limit
+    if any(abs(c) >= bound for c in values):
         raise DomainError(
-            f"a Poincare coefficient has more than {limit} digits, "
+            f"a {what} has more than {limit} digits, "
             "the interpreter's limit for writing an integer as text"
         )
+
+
+def _writable(poly: Poly) -> Poly:
+    """poly, unless a coefficient is too long to write out as text."""
+    _check_digits(poly, "Poincare coefficient")
     return poly
 
 
@@ -258,7 +267,9 @@ def _cmd_mf_normalize(args) -> int:
 def _cmd_recover(args) -> int:
     pm = parse_product(args.descriptor)
     b = bundle(pm)
-    _writable(b.poincare_poly)  # both reports print it, so refuse before recovering
+    # both reports print every integer of the bundle, so refuse before recovering
+    _writable(b.poincare_poly)
+    _check_digits(b.class_mod2_counts.values(), "mod-2 class count")
     v = recover(b)
     verdict = "OK" if realize(v).factors == pm.factors else "FAIL"
     if args.json:
@@ -325,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="parallel enumeration lanes; descriptors are counted by strata, not enumerated",
+        help="has no effect: descriptors are counted by strata, and only "
+        "enumeration runs in lanes",
     )
 
     p = add("mf-census", _cmd_mf_census, "real square-zero component census of a product")

@@ -194,15 +194,19 @@ class QuadraticProfile:
 
     products maps every pair (i, j) with i <= j to the degree-4 coordinate
     vector of the ring product of basis elements i and j; the table must
-    be complete.  kinds, when set, names the factors the table is the
-    product profile of, in order; count_square_zero then counts by
-    strata.  Equality, hashing and validation ignore it.
+    be complete.  kinds is set only by ``product_manifold_profile``, to the
+    factors the table is the product profile of, in order;
+    count_square_zero then counts by strata.  It is not a constructor
+    argument, ``dataclasses.replace`` drops it, and equality, hashing and
+    validation ignore it.
     """
 
     labels: tuple[str, ...]
     b4: int
     products: dict[tuple[int, int], tuple[int, ...]]
-    kinds: Optional[tuple[FactorKind, ...]] = field(default=None, compare=False, repr=False)
+    kinds: Optional[tuple[FactorKind, ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         b2 = len(self.labels)

@@ -228,6 +228,15 @@ def test_poincare_coefficients_too_long_to_write_out_exit_1(capsys):
                 "domain error: a Poincare coefficient has more than 4300 digits, "
                 "the interpreter's limit for writing an integer as text\n"
             )
+    # recover also writes the mod-2 class counts, which grow as 2^b2:
+    # DIAG(8000) has 2^15999 + 2^7999 - 1, of 4817 digits
+    for flags in ((), ("--json",)):
+        status, out, err = invoke(capsys, "recover", "DIAG(8000)", *flags)
+        assert (status, out) == (1, ""), flags
+        assert err == (
+            "domain error: a mod-2 class count has more than 4300 digits, "
+            "the interpreter's limit for writing an integer as text\n"
+        )
     # a coefficient of exactly 4300 digits is still written out
     status, out, _ = invoke(capsys, "mf-poincare", f"PQ({10**4299},0)")
     assert (status, out) == (0, f"1 + {10**4299}x + x^2\n")

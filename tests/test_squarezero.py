@@ -172,7 +172,7 @@ def test_count_additivity_over_factors():
 def enumerated(prof: QuadraticProfile) -> QuadraticProfile:
     """The same table without its factor kinds, so that count_square_zero
     enumerates it instead of counting by strata."""
-    return replace(prof, kinds=None)
+    return replace(prof)
 
 
 STRATA_KINDS = [
@@ -208,6 +208,18 @@ def test_product_profiles_carry_their_kinds():
     single = product_manifold_profile(ProductManifold([Diag(2)]))
     assert single.kinds == (Diag(2),) and single == profile(Diag(2))
     assert product_manifold_profile(ProductManifold([])).kinds == ()
+
+
+def test_factor_kinds_cannot_be_set_or_carried_over_by_hand():
+    # a PQ(1, 0) table tagged as CP^1 would count 0 mod 4 instead of 1
+    table = profile(PQ(1, 0))
+    with pytest.raises(TypeError):
+        QuadraticProfile(table.labels, table.b4, table.products, kinds=(ProjLine(),))
+    # replace() builds a fresh, untagged profile, so a new table is enumerated
+    tagged = product_manifold_profile(ProductManifold([ProjLine()]))
+    swapped = replace(tagged, products=table.products, b4=table.b4)
+    assert swapped.kinds is None
+    assert count_square_zero(swapped, 4) == count_square_zero(table, 4) == 1
 
 
 def test_strata_count_matches_the_enumerator_at_composite_moduli():
