@@ -16,6 +16,12 @@ each unordered pair contributing once, so over Z/m the square-zero
 condition is exactly the presented-ring condition (for the diagonal class,
 "c_1 d_1 + ... + c_r d_r = 0").
 
+A product's profile (``product_manifold_profile``) takes its labels and b4
+from the factor kinds and builds its table, O(b2^2) pairs of O(b2^2)
+coordinates, only on the first read of ``products``: by ``mf-profile``, a
+lookup, ``==``, ``repr`` or ``dataclasses.replace``.  Counting it never
+reads the table, nor does a budget refusal.
+
 ``count_square_zero`` has two routes, both behind the same state budget.
 A profile from ``product_manifold_profile`` knows its factor kinds, and
 its count is read off per-factor strata.  A product class u = (x_f) has
@@ -46,7 +52,9 @@ the strata; ``closed_count_mod2`` is a third, closed-form route.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -199,11 +207,17 @@ class QuadraticProfile:
     count_square_zero then counts by strata.  It is not a constructor
     argument, ``dataclasses.replace`` drops it, and equality, hashing and
     validation ignore it.
+
+    ``profile`` and ``product_profile`` give products as a dict.  A profile
+    from ``product_manifold_profile`` holds a read-only mapping instead,
+    which builds that dict on its first read (a lookup, an iteration,
+    ``==``, ``repr`` or ``dataclasses.replace``) and keeps it; counting the
+    profile never reads it.
     """
 
     labels: tuple[str, ...]
     b4: int
-    products: dict[tuple[int, int], tuple[int, ...]]
+    products: Mapping[tuple[int, int], tuple[int, ...]]
     kinds: Optional[tuple[FactorKind, ...]] = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -254,21 +268,61 @@ def summands(kind: FactorKind) -> tuple[int, int, int]:
     raise DomainError(f"not a four-dimensional factor kind: {kind!r}")
 
 
+def _factor_basis(kind: FactorKind) -> tuple[tuple[str, ...], int]:
+    """Degree-2 labels and b4 of one factor's profile: x for CP^1, else
+    x1..xp, y1..yq, z1..zr, w1..wr for the summands (p, q, r), in degree 4
+    of rank 1."""
+    if isinstance(kind, ProjLine):
+        return ("x",), 0
+    p, q, r = summands(kind)
+    return tuple(f"{x}{i + 1}" for x, n in zip("xyzw", (p, q, r, r)) for i in range(n)), 1
+
+
+def _product_labels(factor_labels: list[tuple[str, ...]]) -> tuple[str, ...]:
+    """Labels of a product: a lone factor keeps its own, else factor i's
+    label l becomes f<i+1>.l."""
+    if len(factor_labels) == 1:
+        return factor_labels[0]
+    return tuple(f"f{idx + 1}.{lab}" for idx, labs in enumerate(factor_labels) for lab in labs)
+
+
+def _degree4_layout(b2s: list[int], b4s: list[int]) -> tuple[list[int], list[int], int]:
+    """Where a product's degree-4 blocks start, and its b4.
+
+    Each factor's own block comes first, in factor order, then one tensor
+    block of b2_i * b2_j coordinates per pair of factors i < j, in
+    lexicographic order.  Returns the start of each factor's own block, the
+    start of each factor's row of tensor blocks (its pairs (i, j), j > i),
+    and b4.  A factor with b2 = 0 adds no tensor coordinates.
+    """
+    own, rows = [], []
+    pos = 0
+    for b4 in b4s:
+        own.append(pos)
+        pos += b4
+    later = sum(b2s)
+    for b2 in b2s:
+        later -= b2
+        rows.append(pos)
+        pos += b2 * later
+    return own, rows, pos
+
+
 def profile(kind: FactorKind) -> QuadraticProfile:
     """Quadratic profile of a single factor, from its ring presentation: the
-    summands (p, q, r) give x1..xp, y1..yq, z1..zr, w1..wr with x_i^2 = 1,
-    y_j^2 = -1, z_k w_k = 1 and every other product 0, in degree 4 of rank 1."""
+    summands (p, q, r) give x_i^2 = 1, y_j^2 = -1, z_k w_k = 1 and every
+    other product 0; CP^1 has x^2 = 0 in degree 4 of rank 0."""
+    labels, b4 = _factor_basis(kind)
     if isinstance(kind, ProjLine):
-        return QuadraticProfile(labels=("x",), b4=0, products={(0, 0): ()})
+        return QuadraticProfile(labels=labels, b4=b4, products={(0, 0): ()})
     p, q, r = summands(kind)
-    labels = tuple(f"{x}{i + 1}" for x, n in zip("xyzw", (p, q, r, r)) for i in range(n))
     b2 = len(labels)
     products = {(i, j): (0,) for i in range(b2) for j in range(i, b2)}
     for i in range(p + q):
         products[(i, i)] = (1,) if i < p else (-1,)
     for k in range(p + q, p + q + r):
         products[(k, k + r)] = (1,)
-    return QuadraticProfile(labels=labels, b4=1, products=products)
+    return QuadraticProfile(labels=labels, b4=b4, products=products)
 
 
 def product_profile(profiles: list[QuadraticProfile]) -> QuadraticProfile:
@@ -278,27 +332,16 @@ def product_profile(profiles: list[QuadraticProfile]) -> QuadraticProfile:
     coordinate with coefficient 1; intra-factor pairs land in the factor's
     own degree-4 block unchanged.
     """
-    if not profiles:
-        return QuadraticProfile(labels=(), b4=0, products={})
     if len(profiles) == 1:
         return profiles[0]
-    k = len(profiles)
+    labels = _product_labels([pr.labels for pr in profiles])
+    b2s = [pr.b2 for pr in profiles]
+    own, rows, b4 = _degree4_layout(b2s, [pr.b4 for pr in profiles])
     label_offsets = []
-    labels: list[str] = []
-    for idx, pr in enumerate(profiles):
-        label_offsets.append(len(labels))
-        labels.extend(f"f{idx+1}.{lab}" for lab in pr.labels)
-    b4_offsets = []
     pos = 0
-    for pr in profiles:
-        b4_offsets.append(pos)
-        pos += pr.b4
-    tensor_offsets = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            tensor_offsets[(i, j)] = pos
-            pos += profiles[i].b2 * profiles[j].b2
-    b4 = pos
+    for b2 in b2s:
+        label_offsets.append(pos)
+        pos += b2
 
     products: dict[tuple[int, int], tuple[int, ...]] = {}
     b2 = len(labels)
@@ -307,21 +350,53 @@ def product_profile(profiles: list[QuadraticProfile]) -> QuadraticProfile:
         for b in range(a, b2):
             products[(a, b)] = zero
     for idx, pr in enumerate(profiles):
-        off2, off4 = label_offsets[idx], b4_offsets[idx]
+        off2, off4 = label_offsets[idx], own[idx]
         for (i, j), vec in pr.products.items():
             out = [0] * b4
             for t, x in enumerate(vec):
                 out[off4 + t] = x
             products[(off2 + i, off2 + j)] = tuple(out)
-    for i in range(k):
-        for j in range(i + 1, k):
-            base = tensor_offsets[(i, j)]
-            for a in range(profiles[i].b2):
-                for b in range(profiles[j].b2):
+    # factors with b2 = 0 have no tensor blocks, so only the others pair up
+    wide = [i for i, n in enumerate(b2s) if n]
+    for n, i in enumerate(wide):
+        base = rows[i]
+        for j in wide[n + 1 :]:
+            for a in range(b2s[i]):
+                for b in range(b2s[j]):
                     out = [0] * b4
-                    out[base + a * profiles[j].b2 + b] = 1
+                    out[base + a * b2s[j] + b] = 1
                     products[(label_offsets[i] + a, label_offsets[j] + b)] = tuple(out)
-    return QuadraticProfile(labels=tuple(labels), b4=b4, products=products)
+            base += b2s[i] * b2s[j]
+    return QuadraticProfile(labels=labels, b4=b4, products=products)
+
+
+class _ProductTable(Mapping):
+    """The products table of a ``product_manifold_profile``: product_profile's
+    table of the factor profiles, built on the first read and kept.  It
+    compares (as a Mapping) and prints as that dict."""
+
+    __slots__ = ("_kinds", "_table")
+
+    def __init__(self, kinds: tuple[FactorKind, ...]):
+        self._kinds = kinds
+        self._table: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
+
+    def _built(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        if self._table is None:
+            self._table = product_profile([profile(f) for f in self._kinds]).products
+        return self._table
+
+    def __getitem__(self, pair):
+        return self._built()[pair]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 def _count_chunk(b2, b4, pairs, modulus, start, stop) -> int:
@@ -343,8 +418,9 @@ def _count_chunk(b2, b4, pairs, modulus, start, stop) -> int:
 
 def _enumeration_states(b2: int, modulus: int, budget: int = STATE_BUDGET) -> int:
     """modulus**b2, the states of a count over Z/modulus, checked against the
-    budget.  It needs b2 alone, so a caller can refuse before it builds the
-    profile, whose size grows as b2^4."""
+    budget.  It needs b2 alone, so a caller can refuse before it builds a
+    profile, even the labels of one; a product profile's table, O(b2^4) in
+    size, is built only when read, and counting never reads it."""
     if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
         raise DomainError(f"modulus must be an integer >= 2, got {modulus!r}")
     states = modulus**b2
@@ -463,7 +539,8 @@ def count_square_zero(
     The state budget is checked first on both routes: exceeding it raises,
     it never truncates.  A profile that carries its factor kinds (as
     ``product_manifold_profile`` returns it) is counted from per-factor
-    strata, in time polynomial in the factors, b2 and the modulus:
+    strata, in time polynomial in the factors, b2 and the modulus, and
+    without building its products table:
 
         count + 1 = sum over (d_f) with d_f * d_g = 0 (mod m), f != g,
                     of prod_f N_f(d_f).
@@ -724,8 +801,14 @@ def parse_product(text: str) -> ProductManifold:
         return value, col
 
     def parse_int():
-        value, _ = take("int")
-        return int(value)
+        value, col = take("int")
+        try:
+            return int(value)
+        except ValueError:  # only a literal too long to convert
+            raise ParseError(
+                f"column {col}: integer literal of {len(value)} digits, over the "
+                f"interpreter's {sys.get_int_max_str_digits()}-digit limit"
+            ) from None
 
     factors: list[FactorKind] = []
     while True:
@@ -758,10 +841,25 @@ def parse_product(text: str) -> ProductManifold:
 
 
 def product_manifold_profile(pm: ProductManifold) -> QuadraticProfile:
-    """Profile of the whole product, via product_profile, carrying the
-    factor kinds so that count_square_zero counts it by strata."""
-    prof = product_profile([profile(f) for f in pm.factors])
-    # Every call builds prof afresh, a lone factor's profile included, so
-    # tagging it in place spares a second validation of its table.
-    object.__setattr__(prof, "kinds", pm.factors)
+    """Profile of the whole product, carrying the factor kinds so that
+    count_square_zero counts it by strata.
+
+    Its labels and b4 come from the kinds alone.  Its products table is
+    ``product_profile([profile(f) for f in pm.factors]).products``, built
+    on the first read (see ``QuadraticProfile``), so counting and budget
+    refusals cost O(b2 + factors) instead of the table's O(b2^4).
+    """
+    bases = [_factor_basis(f) for f in pm.factors]
+    b4 = _degree4_layout([len(labels) for labels, _ in bases], [n for _, n in bases])[2]
+    # Bypass __post_init__: reading the table there would build it.  The
+    # labels are distinct by construction, and product_profile validates
+    # the table when it is built.
+    prof = object.__new__(QuadraticProfile)
+    for name, value in (
+        ("labels", _product_labels([labels for labels, _ in bases])),
+        ("b4", b4),
+        ("products", _ProductTable(pm.factors)),
+        ("kinds", pm.factors),
+    ):
+        object.__setattr__(prof, name, value)
     return prof

@@ -244,6 +244,41 @@ def test_poincare_coefficients_too_long_to_write_out_exit_1(capsys):
     assert status == 0 and json.loads(out)["coefficients"] == [1, 10**4299, 1]
 
 
+def test_integer_literal_too_long_to_read_exits_2(capsys):
+    # one digit more than the 4300 that int() reads from text by default
+    literal = "1" * 4301
+    for argv in (("mf-poincare",), ("mf-count", "--mod", "2")):
+        for flags in ((), ("--json",)):
+            status, out, err = invoke(capsys, *argv, f"CP1 * PQ({literal},0)", *flags)
+            assert (status, out) == (2, ""), (argv, flags)
+            assert err == (
+                "parse error: column 10: integer literal of 4301 digits, "
+                "over the interpreter's 4300-digit limit\n"
+            )
+    # an exponent is read the same way
+    status, _, err = invoke(capsys, "mf-count", f"CP1^{literal}", "--mod", "2")
+    assert status == 2 and err.startswith("parse error: column 5: integer literal of 4301")
+    # a literal of exactly 4300 digits is read
+    status, out, _ = invoke(capsys, "mf-poincare", f"CP1 * PQ({'1' * 4300},0)", "--json")
+    assert status == 0 and json.loads(out)["coefficients"][1] == int("1" * 4300) + 1
+
+
+def test_mf_count_and_profile_of_many_spheres(capsys, monkeypatch):
+    import fandec.cli
+    from fandec.squarezero import product_profile, profile
+
+    status, out, _ = invoke(capsys, "mf-count", "S4^2000 * CP1", "--mod", "2")
+    assert (status, out) == (0, "1 (closed form 1, MATCH)\n")
+    lazy = [invoke(capsys, "mf-profile", "S4^2000 * CP1", *flags) for flags in ((), ("--json",))]
+    assert lazy[0][0] == 0 and "b4: 2000\n" in lazy[0][1] and "f1.x * f1.x = [0, 0," in lazy[0][1]
+
+    def eager(pm):
+        return product_profile([profile(f) for f in pm.factors])
+
+    monkeypatch.setattr(fandec.cli, "product_manifold_profile", eager)
+    assert [invoke(capsys, "mf-profile", "S4^2000 * CP1", *f) for f in ((), ("--json",))] == lazy
+
+
 def test_fan_validate_refuses_an_oversize_circuit_search(capsys, tmp_path):
     def unit(dim, *support):
         return tuple(1 if i in support else 0 for i in range(dim))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from fandec.squarezero import (
     parse_product,
     poincare,
     product_manifold_profile,
+    product_profile,
     profile,
     real_census,
     summands,
@@ -299,6 +301,92 @@ def test_empty_product_counts_zero():
     assert count_square_zero(product_manifold_profile(ProductManifold([FourSphere()])), 2) == 0
 
 
+def all_pairs_table(profiles: list) -> dict:
+    """Reference product table: one tensor block per pair of factors, empty
+    ones included, laid out in one pass over all pairs."""
+    b2s = [pr.b2 for pr in profiles]
+    b4 = sum(pr.b4 for pr in profiles) + sum(
+        b2s[i] * b2s[j] for i in range(len(b2s)) for j in range(i + 1, len(b2s))
+    )
+    starts2 = [sum(b2s[:i]) for i in range(len(b2s))]
+    table = {(a, b): [0] * b4 for a in range(sum(b2s)) for b in range(a, sum(b2s))}
+    pos = 0
+    for pr, off in zip(profiles, starts2):
+        for (i, j), vec in pr.products.items():
+            table[(off + i, off + j)][pos : pos + pr.b4] = vec
+        pos += pr.b4
+    for i in range(len(profiles)):
+        for j in range(i + 1, len(profiles)):
+            for a in range(b2s[i]):
+                for b in range(b2s[j]):
+                    table[(starts2[i] + a, starts2[j] + b)][pos] = 1
+                    pos += 1
+    return {pair: tuple(vec) for pair, vec in table.items()}
+
+
+def assert_lazy_table_is_the_eager_one(factors) -> None:
+    lazy = product_manifold_profile(ProductManifold(factors))
+    eager = product_profile([profile(f) for f in ProductManifold(factors).factors])
+    assert (lazy.labels, lazy.b4) == (eager.labels, eager.b4)
+    assert dict(lazy.products) == eager.products
+    assert list(lazy.products) == list(eager.products)
+    assert list(lazy.products.items()) == list(eager.products.items())
+    assert lazy == eager and eager == lazy and not lazy != eager
+    assert repr(lazy) == repr(eager)
+    assert replace(lazy) == eager and repr(replace(lazy)) == repr(eager)
+
+
+LAZY_CORPUS = [
+    [],
+    [ProjLine()],
+    [FourSphere()],
+    [PQ(3, 1)],
+    [Diag(2)],
+    [FourSphere()] * 3,
+    [ProjLine()] * 5,
+    [FourSphere(), ProjLine(), FourSphere(), PQ(2, 1), FourSphere()],
+    [Diag(1), PQ(1, 0), ProjLine(), ProjLine()],
+]
+
+
+def test_lazy_table_matches_the_eager_build():
+    rng = random.Random(7)
+    corpus = LAZY_CORPUS + [
+        [rng.choice(STRATA_KINDS) for _ in range(rng.randint(0, 6))] for _ in range(60)
+    ]
+    for factors in corpus:
+        assert_lazy_table_is_the_eager_one(factors)
+        profiles = [profile(f) for f in ProductManifold(factors).factors]
+        if len(profiles) != 1:  # a lone factor keeps its own table
+            assert product_profile(profiles).products == all_pairs_table(profiles), factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(STRATA_KINDS + [PQ(5, 2), Diag(3)]), max_size=6))
+def test_lazy_table_property(factors):
+    assert_lazy_table_is_the_eager_one(factors)
+
+
+def test_counting_a_product_never_builds_its_table(monkeypatch):
+    import fandec.squarezero as sz
+
+    def no_table(*args):
+        raise AssertionError("the products table was built")
+
+    monkeypatch.setattr(sz, "product_profile", no_table)
+    monkeypatch.setattr(sz, "profile", no_table)
+    for text, m, want in (("CP1^2", 4, 7), ("DIAG(2) * CP1", 3, 32 + 2), ("S4^2000 * CP1", 2, 1)):
+        prof = product_manifold_profile(parse_product(text))
+        assert count_square_zero(prof, m) == want, text
+    for text, m in (("PQ(288,0)", 2), ("DIAG(144) * S4", 3), ("CP1^25", 2)):
+        prof = product_manifold_profile(parse_product(text))
+        with pytest.raises(BudgetError):
+            count_square_zero(prof, m)
+    # a read builds it, through the functions patched away above
+    with pytest.raises(AssertionError):
+        prof.products[(0, 0)]
+
+
 def test_census_frozen():
     assert factor_census(ProjLine()) == [LINE, LINE]
     assert factor_census(PQ(1, 1)) == [LINE] * 4
@@ -508,6 +596,17 @@ def test_parse_product_errors(text, fragment):
     with pytest.raises((ParseError, DomainError)) as err:
         parse_product(text)
     assert fragment in str(err.value)
+
+
+def test_parse_product_refuses_literals_over_the_digit_limit():
+    limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told otherwise
+    assert parse_product(f"PQ({'9' * limit},0)").factors == (PQ(10**limit - 1, 0),)
+    with pytest.raises(ParseError) as err:
+        parse_product(f"CP1 * PQ({'1' * (limit + 1)},0)")
+    assert str(err.value) == (
+        f"column 10: integer literal of {limit + 1} digits, "
+        f"over the interpreter's {limit}-digit limit"
+    )
 
 
 def test_parse_product_exponent_zero():
